@@ -48,6 +48,26 @@ __all__ = ["RetryPolicy", "LockClient"]
 _RETRYABLE = frozenset({"crashed"})
 
 
+def _expire(future: asyncio.Future) -> None:
+    if not future.done():
+        future.set_exception(asyncio.TimeoutError())
+
+
+async def _reply(future: asyncio.Future, timeout: float | None) -> dict[str, Any]:
+    """Await a reply future; it fails with ``TimeoutError`` after ``timeout`` seconds.
+
+    One ``call_later`` handle per call instead of ``asyncio.wait_for``'s
+    waiter future and callbacks.
+    """
+    if timeout is None:
+        return await future
+    handle = asyncio.get_running_loop().call_later(timeout, _expire, future)
+    try:
+        return await future
+    finally:
+        handle.cancel()
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Jittered exponential backoff schedule.
@@ -258,7 +278,7 @@ class LockClient:
                     )
                 )
                 remaining = None if deadline is None else max(0.0, deadline - loop.time())
-                frame = await asyncio.wait_for(future, remaining)
+                frame = await _reply(future, remaining)
             except (ConnectionError, OSError, ServiceUnavailable) as exc:
                 self.reconnects += 1
                 last_error = str(exc)
@@ -288,7 +308,7 @@ class LockClient:
             future: asyncio.Future = asyncio.get_running_loop().create_future()
             self._futures[rid] = future
             self._send(self._with_trace({"type": "cancel", "rid": rid}, rid))
-            await asyncio.wait_for(future, 0.5)
+            await _reply(future, 0.5)
         except (ConnectionError, OSError, ServiceUnavailable, asyncio.TimeoutError):
             self._futures.pop(rid, None)
         finally:
@@ -314,7 +334,7 @@ class LockClient:
                 future: asyncio.Future = loop.create_future()
                 self._futures[rid] = future
                 self._send(self._with_trace({"type": "release", "rid": rid}, rid))
-                frame = await asyncio.wait_for(future, self.retry.max_delay * 2)
+                frame = await _reply(future, self.retry.max_delay * 2)
             except (ConnectionError, OSError, ServiceUnavailable, asyncio.TimeoutError) as exc:
                 self.reconnects += 1
                 last_error = str(exc)
@@ -342,7 +362,7 @@ class LockClient:
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._status_future = future
         self._send({"type": "status"})
-        return await asyncio.wait_for(future, timeout)
+        return await _reply(future, timeout)
 
     @asynccontextmanager
     async def locked(self, timeout: float | None = None) -> AsyncIterator[int]:

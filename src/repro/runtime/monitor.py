@@ -5,11 +5,13 @@ The online checkers built for the simulator
 :class:`~repro.telemetry.online.OnlineLivenessWatchdog`,
 :class:`~repro.telemetry.fairness.FairnessTracker`) are sans-I/O event
 consumers, so they run unchanged on *runtime* events: every
-:class:`~repro.runtime.service.LockServer` streams issue/grant/enter/exit/
-cancel/crash/recover frames to an :class:`SLOMonitor`, which feeds them to
-the checkers and turns verdict changes into **alerts** — a mutual-exclusion
-violation or a grant-gap breach shows up in the ``/metrics`` document the
-moment it happens, instead of in post-hoc trace analysis.
+:class:`~repro.runtime.service.LockServer` sends its issue/grant/enter/exit/
+cancel/crash/recover events to an :class:`SLOMonitor` — singly as ``event``
+frames or several to an ``events`` frame — which feeds them to the checkers
+and turns verdict changes into **alerts**: a mutual-exclusion violation or
+a grant-gap breach shows up in the ``/metrics`` document within the
+sender's batching delay (at most 1 ms) plus ``reorder_window`` of
+happening, instead of in post-hoc trace analysis.
 
 Ordering: events arrive over per-server TCP/UDS links, so cross-server
 arrival order is not event order.  The monitor holds events in a small
@@ -129,10 +131,20 @@ class SLOMonitor:
     # Event intake
     # ------------------------------------------------------------------
     async def _on_frame(self, frame: dict[str, Any], conn: FrameConnection) -> None:
-        if frame.get("type") != "event":
+        kind = frame.get("type")
+        if kind == "event":
+            self.ingest(frame)
+            return
+        batch = frame.get("batch") if kind == "events" else None
+        if not isinstance(batch, list):
             self.malformed_events += 1
             return
-        self.ingest(frame)
+        # Same ingest calls, in the same order, as one frame per event.
+        for event in batch:
+            if isinstance(event, dict):
+                self.ingest(event)
+            else:
+                self.malformed_events += 1
 
     def ingest(self, event: dict[str, Any]) -> None:
         """Buffer one event dict (``e``/``t``/``node``/``rid`` keys)."""

@@ -4,7 +4,8 @@ Each :class:`LockServer` hosts exactly one sans-I/O
 :class:`~repro.simulation.process.MutexNode` (any algorithm) and gives it a
 real :class:`~repro.simulation.process.Environment`: protocol messages
 travel over :class:`~repro.runtime.transport.PeerLink`s (length-prefixed
-frames over TCP or UDS, per-link reconnect, write backpressure), timers are
+frames over TCP or UDS, per-link reconnect, one socket write per link per
+loop tick, write backpressure), timers are
 ``call_later`` handles, and the clock is wall time relative to a shared
 *service epoch* so timestamps are comparable across server processes.
 
@@ -41,8 +42,13 @@ crash/restart of the server's node — a crashed server drops all protocol
 traffic, wipes the node's volatile state through
 :meth:`~repro.simulation.process.MutexNode.on_crash`, and fails queued
 client requests with a retryable ``crashed`` error.  Every lifecycle edge
-(issue/grant/enter/exit/cancel/crash/recover) is streamed to an optional
-:class:`~repro.runtime.monitor.SLOMonitor` over a reliable link.
+(issue/grant/enter/exit/cancel/crash/recover) is reported to an optional
+:class:`~repro.runtime.monitor.SLOMonitor`: events carry their emit-time
+timestamp and leave in bounded batches (at most 16 events or 1 ms per frame,
+see ``_EVENT_BATCH_MAX``; crash, recover and ``stop()`` flush at once) over
+a reconnecting :class:`~repro.runtime.transport.PeerLink`.  The link is
+bounded and fire-and-forget — ``status()["monitor_link"]`` counts events
+emitted, frames shipped and events dropped.
 
 Tracing: a client that head-sampled an acquire attaches a ``tr`` trace id
 to the frame; the server stores it on the waiter, stamps it on monitor
@@ -90,6 +96,20 @@ _RECENT_LIMIT = 512
 #: claim draws a real answer that cancels the timer — regenerating from
 #: inside a partition is how a token gets duplicated.
 _SILENCE_TIMERS = frozenset({"enquiry", "root_claim"})
+
+#: Monitor events leave a server in batches: one ``events`` frame when the
+#: batch holds ``_EVENT_BATCH_MAX`` events or ``_EVENT_BATCH_DELAY`` seconds
+#: after its first event, whichever comes first.  Events keep their emit-time
+#: ``t``, so the monitor orders and judges them exactly as before; 1 ms is
+#: 1/50 of the monitor's own 50 ms ``reorder_window``.  Constants, not
+#: options, because both ends were measured with ``benchmarks/suite``
+#: (ISSUE 12): a frame per event made the attached monitor cost a third of the
+#: throughput (``monitor.tax`` 1.55 on ``svc-pingpong-n8``, 6 events per
+#: grant); an uncapped 2 ms batch raised ``svc-local-n8`` ``acquire_p99_ms``
+#: 0.277 -> 0.383 (one ~36-event encode/decode lump per 9 grants), while a cap
+#: of 16 reads 0.23-0.26 with ``grants_per_s`` within 5 % of the uncapped run.
+_EVENT_BATCH_MAX = 16
+_EVENT_BATCH_DELAY = 0.001
 
 
 def _jsonable(value: Any) -> Any:
@@ -284,6 +304,11 @@ class LockServer:
         self._env = _ServiceEnvironment(self)
         self._links: dict[int, PeerLink] = {}
         self._monitor_link: PeerLink | None = None
+        self._event_batch: list[dict[str, Any]] = []
+        self._event_timer: asyncio.TimerHandle | None = None
+        self.events_emitted = 0
+        self.event_frames = 0
+        self.events_dropped = 0
         self._server = FrameServer(
             config.listen, self._on_frame, http_handler=self._on_http
         )
@@ -374,6 +399,7 @@ class LockServer:
         for link in self._links.values():
             await link.close()
         if self._monitor_link is not None:
+            self._flush_events()
             await self._monitor_link.close()
 
     async def __aenter__(self) -> "LockServer":
@@ -530,7 +556,6 @@ class LockServer:
         if self._monitor_link is None:
             return
         payload: dict[str, Any] = {
-            "type": "event",
             "e": event,
             "node": self.config.node_id,
             "rid": rid,
@@ -542,7 +567,32 @@ class LockServer:
             payload["dest"] = dest
         if kind is not None:
             payload["kind"] = kind
-        self._monitor_link.send(payload)
+        self.events_emitted += 1
+        batch = self._event_batch
+        batch.append(payload)
+        if len(batch) >= _EVENT_BATCH_MAX:
+            self._flush_events()
+        elif self._event_timer is None:
+            self._event_timer = asyncio.get_running_loop().call_later(
+                _EVENT_BATCH_DELAY, self._flush_events
+            )
+
+    def _flush_events(self) -> None:
+        """Ship the pending monitor events as one frame (see ``_EVENT_BATCH_MAX``)."""
+        if self._event_timer is not None:
+            self._event_timer.cancel()
+            self._event_timer = None
+        batch = self._event_batch
+        if not batch:
+            return
+        self._event_batch = []
+        if len(batch) == 1:
+            frame = {"type": "event", **batch[0]}
+        else:
+            frame = {"type": "events", "batch": batch}
+        self.event_frames += 1
+        if not self._monitor_link.send(frame):
+            self.events_dropped += len(batch)
 
     # ------------------------------------------------------------------
     # Frame handling
@@ -810,6 +860,7 @@ class LockServer:
         except ReproError as exc:
             self.node_errors.append(f"on_crash: {exc}")
         self._emit("crash")
+        self._flush_events()
         log_event(self._log, "crash", node=self.config.node_id, t=round(self.now, 6))
 
     def inject_recover(self) -> None:
@@ -822,6 +873,7 @@ class LockServer:
         except ReproError as exc:
             self.node_errors.append(f"on_recover: {exc}")
         self._emit("recover")
+        self._flush_events()
         log_event(self._log, "recover", node=self.config.node_id, t=round(self.now, 6))
 
     # ------------------------------------------------------------------
@@ -852,6 +904,14 @@ class LockServer:
             "timer_deferrals": self.timer_deferrals,
             "stale_frames_purged": self.stale_frames_purged,
             "links": links,
+            # Events-per-frame as two counts; ``dropped`` is in events and
+            # covers frames the link refused (buffer full or closed), the
+            # only loss the sender can see.
+            "monitor_link": {
+                "events_emitted": self.events_emitted,
+                "event_frames": self.event_frames,
+                "dropped": self.events_dropped,
+            },
             "chaos": chaos.counters() if chaos is not None else None,
             "snapshot": _jsonable(self.node.snapshot()),
         }

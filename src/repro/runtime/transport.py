@@ -4,13 +4,21 @@ Addresses are URLs: ``tcp://host:port`` or ``unix:///path/to.sock``.  Two
 building blocks sit on top of :mod:`repro.runtime.wire`'s framing:
 
 * :class:`PeerLink` — a persistent *outbound* link with automatic reconnect
-  (exponential backoff with jitter) and explicit backpressure: frames queue
-  in a bounded buffer and the writer ``drain()``s after every frame, so a
-  slow peer throttles the sender instead of growing an unbounded queue.
-  When the buffer is full the *newest* frame is dropped and counted — the
-  protocol layer above (fault-tolerant algorithm, fire-and-forget telemetry
-  events) is built to tolerate loss, and a visible counter beats a hidden
-  out-of-memory.
+  (jittered backoff).  ``send()`` appends to a bounded frame buffer and one
+  ``call_soon`` flush per loop tick encodes everything buffered and hands it
+  to the socket as **one write**: the frames a handler produces together
+  (an ack and the protocol reply, say) cost one syscall, and the receiver's
+  reader task drains them in one wake-up.  Order on a link is the order of
+  the ``send()`` calls.  ``sent`` counts frames at that hand-off; frames not
+  yet handed to a socket wait in the buffer across a reconnect.
+  Backpressure is the socket's: once a write leaves the transport's buffer
+  above its high-water mark nothing more is written until one ``drain()``
+  returns, so a slow peer fills the bounded buffer instead of growing an
+  unbounded one.  When the buffer is full the *newest* frame is dropped
+  and counted, and ``close()`` counts whatever it could not hand over —
+  the protocol layer above (fault-tolerant algorithm, fire-and-forget
+  telemetry events) is built to tolerate loss, and a visible counter beats
+  a hidden out-of-memory.
 * :class:`FrameServer` — an inbound listener dispatching each connection's
   frames to an async handler.  When an ``http_handler`` is provided the
   listener sniffs the first bytes of a connection: ``GET `` switches to a
@@ -26,7 +34,7 @@ import random
 from typing import Any, Awaitable, Callable
 
 from repro.exceptions import ConfigurationError, ProtocolError
-from repro.runtime.wire import _LENGTH, MAX_FRAME, encode_frame, read_frame
+from repro.runtime.wire import _LENGTH, encode_frame, read_frame
 
 __all__ = ["parse_address", "PeerLink", "FrameConnection", "FrameServer"]
 
@@ -85,86 +93,121 @@ class PeerLink:
         self.dropped = 0
         self.reconnects = 0
         self._rng = random.Random(seed)
-        self._queue: asyncio.Queue[dict[str, Any] | None] = asyncio.Queue(maxsize=max_queue)
+        #: Frames accepted by :meth:`send` and not yet handed to a socket.
+        self._buffer: list[dict[str, Any]] = []
+        #: A flush is already on its way: scheduled on the loop, or owed by
+        #: the connection task (no socket yet) or by the drain task.
+        self._flush_pending = False
+        self._loop: asyncio.AbstractEventLoop | None = None
         self._task: asyncio.Task | None = None
+        self._writer: asyncio.StreamWriter | None = None
+        self._high_water = 0
+        #: Exists while the socket's write buffer is above its high-water mark.
+        self._drain_task: asyncio.Task | None = None
         self._closed = False
 
     def start(self) -> None:
-        """Start the writer task (idempotent)."""
+        """Start the connection task (idempotent)."""
         if self._task is None:
-            self._task = asyncio.get_running_loop().create_task(self._run())
+            self._loop = asyncio.get_running_loop()
+            self._task = self._loop.create_task(self._run())
 
     def send(self, payload: dict[str, Any]) -> bool:
-        """Enqueue one frame; returns False (and counts) when the buffer is full."""
-        if self._closed:
+        """Buffer one frame; returns False (and counts) when the buffer is full."""
+        if self._closed or len(self._buffer) >= self.max_queue:
             self.dropped += 1
             return False
-        self.start()
-        try:
-            self._queue.put_nowait(payload)
-        except asyncio.QueueFull:
-            self.dropped += 1
-            return False
+        if self._task is None:
+            self.start()
+        self._buffer.append(payload)
+        if not self._flush_pending:
+            self._flush_pending = True
+            self._loop.call_soon(self._flush)
         return True
 
     @property
     def backlog(self) -> int:
         """Frames waiting in the outbound buffer."""
-        return self._queue.qsize()
+        return len(self._buffer)
+
+    def _flush(self) -> None:
+        """Hand every buffered frame to the socket as one write."""
+        writer = self._writer
+        if writer is None or self._drain_task is not None or writer.transport.is_closing():
+            # Stays pending: the next connection, or the end of the drain,
+            # flushes.  A closing transport wakes the connection task.
+            return
+        self._flush_pending = False
+        frames = self._buffer
+        if not frames:
+            return
+        chunks = []
+        for payload in frames:
+            try:
+                chunks.append(encode_frame(payload))
+            except ProtocolError:
+                self.dropped += 1  # over MAX_FRAME: no socket will ever take it
+        frames.clear()
+        self.sent += len(chunks)
+        writer.write(b"".join(chunks))
+        if writer.transport.get_write_buffer_size() > self._high_water:
+            # Real backpressure: the peer is not reading.  Nothing more is
+            # written until one drain() returns; meanwhile frames pile up in
+            # the bounded buffer and the newest are dropped and counted.
+            self._flush_pending = True
+            self._drain_task = self._loop.create_task(self._drain(writer))
+
+    async def _drain(self, writer: asyncio.StreamWriter) -> None:
+        try:
+            await writer.drain()
+        except OSError:
+            return  # the connection task sees the same loss, cleans up and reconnects
+        self._drain_task = None
+        self._flush()
 
     async def _run(self) -> None:
-        pending: dict[str, Any] | None = None
-        while not self._closed:
+        while True:
             writer = None
             try:
-                _reader, writer = await _open_connection(self.address)
-                while True:
-                    payload = pending if pending is not None else await self._queue.get()
-                    if payload is None:  # close sentinel
-                        self._closed = True
-                        break
-                    # Kept as `pending` until the drain succeeds, so a frame
-                    # that hits a connection error is retried on the next
-                    # connection (at-least-once; the layers above tolerate
-                    # duplicates and loss alike).
-                    pending = payload
-                    writer.write(encode_frame(payload))
-                    await writer.drain()  # real backpressure: slow peer blocks us
-                    pending = None
-                    self.sent += 1
-            except asyncio.CancelledError:
-                if writer is not None:
-                    writer.close()
-                raise
-            except Exception:
-                if writer is not None:
-                    writer.close()
-                self.reconnects += 1
-                await asyncio.sleep(self._rng.uniform(self.reconnect_min, self.reconnect_max))
-                continue
-            if writer is not None:
-                try:
-                    await writer.drain()
-                except Exception:
+                reader, writer = await _open_connection(self.address)
+                self._high_water = writer.transport.get_write_buffer_limits()[1]
+                self._writer = writer
+                self._flush()  # whatever was buffered while there was no socket
+                # Nothing is expected back on an outbound link; the read only
+                # wakes this task when the peer closes or the socket fails.
+                while await reader.read(4096):
                     pass
-                writer.close()
-            return
+            except OSError:
+                pass
+            finally:
+                self._writer = None
+                if self._drain_task is not None:
+                    self._drain_task.cancel()
+                    self._drain_task = None
+                if writer is not None:
+                    writer.close()  # after the bytes already written
+            self.reconnects += 1
+            await asyncio.sleep(self._rng.uniform(self.reconnect_min, self.reconnect_max))
 
     async def close(self) -> None:
-        """Flush best-effort and stop the writer task."""
+        """Flush best-effort, count what no socket took, stop the connection task."""
         if self._closed:
             return
         self._closed = True
-        if self._task is not None:
-            try:
-                self._queue.put_nowait(None)
-            except asyncio.QueueFull:
-                self._task.cancel()
-            try:
-                await self._task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._task = None
+        if self._drain_task is None:
+            self._flush()
+        else:
+            # A peer that stopped reading would hold a graceful close open
+            # for ever; drop the connection instead.  (A drain task only
+            # exists while there is a writer: ``_run`` clears both together.)
+            self._writer.transport.abort()
+        self.dropped += len(self._buffer)
+        self._buffer.clear()
+        tasks = [task for task in (self._drain_task, self._task) if task is not None]
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        self._task = None
 
 
 class FrameConnection:
@@ -223,22 +266,16 @@ class FrameServer:
     async def _client(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         conn = FrameConnection(writer)
         try:
+            head = None
             if self.http_handler is not None:
                 head = await reader.readexactly(_LENGTH.size)
                 if head == b"GET ":
                     await self._http(head, reader, writer)
                     return
-                (length,) = _LENGTH.unpack(head)
-                if length > MAX_FRAME:
-                    raise ProtocolError("oversized first frame")
-                body = await reader.readexactly(length)
-                payload = json.loads(body)
-                if not isinstance(payload, dict):
-                    raise ProtocolError("frame payload must be an object")
-                self.frames_received += 1
-                await self.handler(payload, conn)
             while True:
-                payload = await read_frame(reader)
+                # The sniffed bytes are the first frame's length prefix.
+                payload = await read_frame(reader, head)
+                head = None
                 if payload is None:
                     break
                 self.frames_received += 1

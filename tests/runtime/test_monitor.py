@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import random
 
 from repro.runtime import LockClient, SLOMonitor, parse_address, start_servers
 from repro.core.builders import build_opencube_nodes
@@ -163,3 +164,134 @@ class TestTraceAssembly:
         completed = monitor.traces()["completed"]
         assert len(completed) == 2
         assert [t["rid"] for t in completed] == [3, 4]  # newest retained
+
+
+class TestEventBatches:
+    """Servers ship events in ``events`` frames; the monitor must not care."""
+
+    @staticmethod
+    def recorded():
+        """Three nodes taking turns, traced, with a cancel, a crash, a grant
+        gap past the threshold and one real overlap — so verdicts, alerts and
+        traces all have something to disagree about.  Timestamps are distinct:
+        ties are ordered by arrival, which batching does not promise to keep."""
+        events, t = [], 0.0
+
+        def emit(e, node, rid, step=0.003, **extra):
+            nonlocal t
+            t = round(t + step, 6)
+            events.append({"e": e, "node": node, "rid": rid, "t": t, **extra})
+
+        for round_ in range(12):
+            node = 1 + round_ % 3
+            rid, tr = 100 + round_, f"{round_:016x}"
+            emit("issue", node, rid, tr=tr)
+            emit("send", node, 0, tr=tr, dest=1 + (node % 3), kind="RequestMessage")
+            emit("send", 1 + (node % 3), 0, tr=tr, dest=node, kind="TokenMessage")
+            emit("grant", node, rid, step=1.5 if round_ == 7 else 0.003, tr=tr)
+            emit("enter", node, rid, step=0.000001, tr=tr)
+            if round_ == 4:
+                emit("enter", 3, 999)  # overlap: a safety violation
+                emit("exit", 3, 999)
+            emit("exit", node, rid, tr=tr)
+        emit("issue", 2, 500, tr="c" * 16)
+        emit("cancel", 2, 500, tr="c" * 16)
+        emit("issue", 3, 501, tr="d" * 16)
+        emit("crash", 3, 0)
+        emit("recover", 3, 0)
+        return events
+
+    @staticmethod
+    def verdict(frames):
+        monitor = SLOMonitor(max_grant_gap=1.0)
+
+        async def feed():
+            for frame in frames:
+                await monitor._on_frame(frame, None)
+
+        run(feed())
+        assert monitor.events_applied < monitor.events_received  # the window holds a tail
+        monitor.finalize()
+        return monitor.report(), monitor.healthz(), monitor.traces()
+
+    def test_singles_batches_and_shuffled_batches_agree(self):
+        events = self.recorded()
+        singles = [{"type": "event", **e} for e in events]
+        batches = [
+            {"type": "events", "batch": events[i:i + 16]} for i in range(0, len(events), 16)
+        ]
+        # Batches of several servers interleave on arrival: shuffle inside
+        # blocks that span 6 x 3 ms, well inside the 50 ms reorder window
+        # (the block holding the 1.5 s gap is not inside it and stays put).
+        rng = random.Random(7)
+        shuffled, moved = [], 0
+        for i in range(0, len(events), 6):
+            block = events[i:i + 6]
+            if block[-1]["t"] - block[0]["t"] < 0.025:
+                rng.shuffle(block)
+                moved += block != events[i:i + 6]
+            shuffled.append({"type": "events", "batch": block})
+        assert moved >= 10
+
+        expected = self.verdict(singles)
+        report = expected[0]
+        assert report["safety"]["violations"] == 1
+        assert {a["kind"] for a in report["alerts"]} == {"safety-violation", "grant-gap-breach"}
+        assert report["events"]["applied"] == len(events)
+        assert len(expected[2]["completed"]) >= 12
+        assert self.verdict(batches) == expected
+        assert self.verdict(shuffled) == expected
+
+    def test_malformed_batches_are_counted(self):
+        monitor = SLOMonitor(reorder_window=0.0)
+
+        async def feed():
+            await monitor._on_frame({"type": "events"}, None)
+            await monitor._on_frame({"type": "events", "batch": {"e": "issue"}}, None)
+            await monitor._on_frame(
+                {"type": "events", "batch": [event("issue", rid=1, t=1.0), 7, {"e": "issue"}]},
+                None,
+            )
+            await monitor._on_frame({"type": "bogus"}, None)
+
+        run(feed())
+        assert monitor.events_received == 1 and monitor.events_applied == 1
+        assert monitor.malformed_events == 5
+
+    def test_server_batches_reach_the_monitor(self):
+        """End to end: fewer frames than events, none lost, lone events still ``event``."""
+
+        async def scenario():
+            monitor = SLOMonitor()
+            await monitor.start()
+            kinds = []
+            on_frame = monitor._on_frame
+
+            async def spy(frame, conn):
+                kinds.append(frame["type"])
+                await on_frame(frame, conn)
+
+            monitor._server.handler = spy
+            servers = await start_servers(build_opencube_nodes(2), monitor=monitor.address)
+            async with LockClient(servers[1].address, client_id=1) as client:
+                for _ in range(20):
+                    await client.release(await client.acquire(timeout=5.0))
+                await asyncio.sleep(0.05)
+                servers[1].inject_crash()  # a lone event, flushed at once
+                await asyncio.sleep(0.05)
+            links = [server.status()["monitor_link"] for server in servers.values()]
+            monitor.finalize()
+            report = monitor.report()
+            for server in servers.values():
+                await server.stop()
+            await monitor.close()
+            return kinds, links, report
+
+        kinds, links, report = run(scenario())
+        emitted = sum(link["events_emitted"] for link in links)
+        frames = sum(link["event_frames"] for link in links)
+        assert emitted == 20 * 4 + 1  # issue, grant, enter, exit per round + the crash
+        assert sum(link["dropped"] for link in links) == 0
+        assert report["events"]["applied"] == emitted and report["events"]["malformed"] == 0
+        assert frames == len(kinds) < emitted
+        assert kinds[-1] == "event" and "events" in kinds

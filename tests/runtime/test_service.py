@@ -309,6 +309,8 @@ class TestChaosAcceptance:
                 key: sum(s.status()[key] for s in servers.values())
                 for key in ("retransmits", "timer_deferrals", "duplicates_dropped")
             }
+            for key in ("events_emitted", "event_frames", "dropped"):
+                counters[key] = sum(s.status()["monitor_link"][key] for s in servers.values())
             # Sampled traces survive chaos: clients trace every request by
             # default, so the monitor's /traces endpoint must have assembled
             # at least one completed journey.
@@ -335,7 +337,12 @@ class TestChaosAcceptance:
         assert counters["retransmits"] > 0
         assert counters["duplicates_dropped"] > 0
         assert counters["timer_deferrals"] > 0
-        # 5. The trace surface works under chaos: at least one completed
+        # 5. Batched monitor events are all accounted for: applied by the
+        #    monitor or counted as dropped by the sender, in fewer frames.
+        assert counters["events_emitted"] == report["events"]["applied"] + counters["dropped"]
+        assert report["events"]["malformed"] == 0
+        assert 0 < counters["event_frames"] < counters["events_emitted"]
+        # 6. The trace surface works under chaos: at least one completed
         #    sampled trace with its issue and grant timestamps assembled.
         completed = traces["completed"]
         assert len(completed) >= 1
