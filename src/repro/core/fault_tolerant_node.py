@@ -24,6 +24,20 @@ four mechanisms described in Section 5:
 The failure model is fail-stop: the simulation layer stops delivering
 messages and timers to a crashed node and calls :meth:`on_crash`, which
 wipes every volatile variable.
+
+Hot path
+--------
+
+Section 5 is meant to be free until a node fails, and in a failure-free run
+the only work it adds is arming and cancelling suspicion timers.  That path
+is kept flat: the three timeouts are constants of ``(n, e, delta)`` computed
+once in :meth:`bind`, :meth:`on_message` dispatches on the exact message
+type itself, and the four hooks every request crosses
+(``_hook_request_sent`` / ``_hook_token_received`` / ``_hook_token_lent`` /
+``_hook_token_returned``) arm and cancel their timers inline through the
+environment callables cached at bind time.  Timer handles are opaque: the
+node only ever hands them back to ``cancel_timer`` or compares them to
+``None`` (the simulator returns agenda entries, the runtime hosts ints).
 """
 
 from __future__ import annotations
@@ -49,6 +63,7 @@ from repro.core.messages import (
     TokenMessage,
 )
 from repro.core.node import OpenCubeMutexNode
+from repro.simulation.process import Environment
 
 __all__ = ["FaultTolerantOpenCubeNode"]
 
@@ -100,11 +115,16 @@ class FaultTolerantOpenCubeNode(OpenCubeMutexNode):
         self.cs_duration_estimate = cs_duration_estimate
         self.enquiry_enabled = enquiry_enabled
         self._await_grace = await_grace
+        # The timeouts (_await_timeout, _lend_timeout_direct/_relayed,
+        # _round_trip) and the timer callables (_set_timer, _cancel_timer)
+        # exist once the node is bound; see bind().  A *_timer attribute is
+        # the opaque handle ``set_timer`` returned, or ``None``.
+        #
         # Waiting-for-token failure detection.
-        self._await_timer: int | None = None
+        self._await_timer: Any = None
         # Root-side lend bookkeeping.
-        self._lend_timer: int | None = None
-        self._enquiry_timer: int | None = None
+        self._lend_timer: Any = None
+        self._enquiry_timer: Any = None
         self._lend_borrower: int | None = None
         self._lend_source: int | None = None
         # Borrower-side bookkeeping used to answer enquiries.
@@ -125,7 +145,7 @@ class FaultTolerantOpenCubeNode(OpenCubeMutexNode):
         self._search_phase = 0
         self._search_waiting: set[int] = set()
         self._search_try_later: set[int] = set()
-        self._search_timer: int | None = None
+        self._search_timer: Any = None
         self._search_reason: str = ""
         self._search_retry_round = 0
         # A recovering node whose search finds nobody retries a few times
@@ -142,10 +162,10 @@ class FaultTolerantOpenCubeNode(OpenCubeMutexNode):
         self._ever_recovered = False
         # Root-claim arbitration state (extension, see RootClaimMessage).
         self._claiming = False
-        self._claim_timer: int | None = None
+        self._claim_timer: Any = None
         self._claim_attempts = 0
         # Father liveness probe state (extension, see PingMessage).
-        self._ping_timer: int | None = None
+        self._ping_timer: Any = None
         self._ping_probe_id = 0
         self._ping_target: int | None = None
         self._alive_father_backoffs = 0
@@ -177,6 +197,33 @@ class FaultTolerantOpenCubeNode(OpenCubeMutexNode):
         return None
 
     # ------------------------------------------------------------------
+    # Wiring
+    # ------------------------------------------------------------------
+    def bind(self, env: Environment) -> None:
+        """Attach the environment and fix the Section 5 timeouts.
+
+        ``delta`` (the environment's ``max_delay``), ``e``
+        (``cs_duration_estimate``), ``pmax`` and the grace period are all
+        constants of a bound node, so the timeouts are computed here once
+        instead of on every arm — see :attr:`await_token_timeout`,
+        :meth:`lend_timeout` and :attr:`round_trip_timeout` for the formulas.
+        """
+        super().bind(env)
+        delta = env.max_delay
+        estimate = self.cs_duration_estimate
+        grace = (
+            self._await_grace
+            if self._await_grace is not None
+            else 2.0 * self.n * (estimate + 2.0 * delta)
+        )
+        self._await_timeout = 2.0 * self.pmax * delta + grace
+        self._lend_timeout_direct = 2.0 * delta + estimate
+        self._lend_timeout_relayed = (self.pmax + 1) * delta + estimate
+        self._round_trip = 2.25 * delta
+        self._set_timer = env.set_timer
+        self._cancel_timer = env.cancel_timer
+
+    # ------------------------------------------------------------------
     # Derived state
     # ------------------------------------------------------------------
     @property
@@ -184,73 +231,78 @@ class FaultTolerantOpenCubeNode(OpenCubeMutexNode):
         """Current power; during a search the node evaluates it as ``d - 1``.
 
         Section 5: "while performing the phase d, the node i evaluates its
-        power as d-1".
+        power as d-1".  Outside a search it is Proposition 2.1, computed
+        here directly (this property is read once per routed request).
         """
         if self.searching:
             return max(0, self._search_phase - 1)
-        return super().power
+        father = self.father
+        if father is None:
+            return self.pmax
+        return (self._xor ^ (father - 1)).bit_length() - 1
 
     @property
     def await_token_timeout(self) -> float:
         """Delay before a waiting node suspects a failure.
 
-        The paper's bound is ``2*pmax*delta`` — the maximum round-trip of a
-        request and a token through the tree — but it ignores the time a
-        request legitimately spends queued behind other critical sections.
-        The default grace period therefore scales with the number of nodes
-        (up to ``n - 1`` requests can be ahead in the system), which keeps
+        ``2*pmax*delta + grace``.  The paper's bound is ``2*pmax*delta`` —
+        the maximum round-trip of a request and a token through the tree —
+        but it ignores the time a request legitimately spends queued behind
+        other critical sections.  The default grace period,
+        ``2*n*(e + 2*delta)``, therefore scales with the number of nodes (up
+        to ``n - 1`` requests can be ahead in the system), which keeps
         ill-founded suspicions rare under stable workloads.
         """
-        delta = self.env.max_delay
-        grace = (
-            self._await_grace
-            if self._await_grace is not None
-            else 2.0 * self.n * (self.cs_duration_estimate + 2.0 * delta)
-        )
-        return 2.0 * self.pmax * delta + grace
+        return self._await_timeout
 
     def lend_timeout(self, borrower: int, source: int) -> float:
-        """Root-side timeout for the return of a lent token (Section 5)."""
-        delta = self.env.max_delay
+        """Root-side timeout for the return of a lent token (Section 5).
+
+        ``2*delta + e`` when lending directly to the request source,
+        ``(pmax+1)*delta + e`` otherwise.
+        """
         if borrower == source:
-            return 2.0 * delta + self.cs_duration_estimate
-        return (self.pmax + 1) * delta + self.cs_duration_estimate
+            return self._lend_timeout_direct
+        return self._lend_timeout_relayed
 
     @property
     def round_trip_timeout(self) -> float:
-        """Waiting time for a probe/enquiry answer.
+        """Waiting time for a probe/enquiry answer: ``2.25*delta``.
 
         The paper uses exactly ``2*delta``; a small margin is added so an
         answer that needs the full bound in both directions is not lost to a
         tie with its own timeout (the bound is reachable, not strict).
         """
-        return 2.25 * self.env.max_delay
+        return self._round_trip
 
     # ------------------------------------------------------------------
     # Message dispatch for the extra message types
     # ------------------------------------------------------------------
     def on_message(self, sender: int, message: Message) -> None:
-        self._repair_idle_holder_state()
-        super().on_message(sender, message)
-
-    def _repair_idle_holder_state(self) -> None:
-        """Re-establish the invariant "an idle token holder is the root".
-
-        Interleavings of recovery searches, aborted claims and late answers
-        can leave a node holding the token while still pointing at a father.
-        Such a node would never be found by searchers (its power looks tiny)
-        and would veto every root claim, freezing the whole system.  Dropping
-        the stale father pointer restores the invariant and lets waiting
-        nodes reattach below the holder.
-        """
+        # Re-establish the invariant "an idle token holder is the root".
+        # Interleavings of recovery searches, aborted claims and late answers
+        # can leave a node holding the token while still pointing at a father.
+        # Such a node would never be found by searchers (its power looks tiny)
+        # and would veto every root claim, freezing the whole system.  Dropping
+        # the stale father pointer restores the invariant and lets waiting
+        # nodes reattach below the holder.
         if (
             self.token_here
+            and self.father is not None
             and not self.asking
             and not self.in_critical_section
-            and self.father is not None
         ):
             self.father = None
             self.lender = self.node_id
+        # The failure-free node's exact-type dispatch, repeated here so a
+        # message costs one frame before it reaches its handler.
+        kind = type(message)
+        if kind is RequestMessage:
+            self._receive_request(sender, message)
+        elif kind is TokenMessage:
+            self._receive_token(sender, message)
+        else:
+            self._handle_extension_message(sender, message)
 
     def _handle_extension_message(self, sender: int, message: Message) -> None:
         if isinstance(message, TestMessage):
@@ -278,13 +330,15 @@ class FaultTolerantOpenCubeNode(OpenCubeMutexNode):
     # Deviations from the failure-free node
     # ------------------------------------------------------------------
     def _receive_request(self, sender: int, message: RequestMessage) -> None:
-        if self.searching or self._claiming or self._is_disconnected():
-            # Requests received while reconnecting (or while disconnected
-            # after a failed reconnection) are deferred; they are served once
-            # the node has a usable father or the token.
+        # Requests received while reconnecting (or while disconnected after
+        # a failed reconnection) are deferred; they are served once the node
+        # has a usable father or the token.
+        if self.searching or self._claiming:
             self.pending.append(("request", sender, message))
-            if self._is_disconnected() and not self.searching and not self._claiming:
-                self._start_search(start_phase=1, reason="reconnect")
+            return
+        if self._is_disconnected():
+            self.pending.append(("request", sender, message))
+            self._start_search(start_phase=1, reason="reconnect")
             return
         if self.mandator is not None and self.mandator == message.requester:
             # Duplicate of a request this node is already serving as a proxy
@@ -295,7 +349,8 @@ class FaultTolerantOpenCubeNode(OpenCubeMutexNode):
 
     def _receive_token(self, sender: int, message: TokenMessage) -> None:
         if (
-            message.loan_id is not None
+            self._disclaimed_loan_ids
+            and message.loan_id is not None
             and message.loan_id in self._disclaimed_loan_ids
         ):
             # This node answered TOKEN_NOT_RECEIVED about exactly this loan,
@@ -362,14 +417,20 @@ class FaultTolerantOpenCubeNode(OpenCubeMutexNode):
             return False
         return True
 
+    # The next four run on every request of a failure-free run, so their
+    # timer handling is _arm_*/_cancel_* (see "Timers" below) written out.
     def _hook_request_sent(self, requester: int, source: int) -> None:
-        self._arm_await_timer()
+        if self._await_timer is not None:
+            self._cancel_timer(self._await_timer)
+        self._await_timer = self._set_timer(self._await_timeout, _TIMER_AWAIT_TOKEN)
 
     def _hook_token_received(self, sender: int, message: TokenMessage) -> None:
-        self._cancel_await_timer()
+        if self._await_timer is not None:
+            self._cancel_timer(self._await_timer)
+            self._await_timer = None
         self._alive_father_backoffs = 0
         if self._ping_timer is not None:
-            self.env.cancel_timer(self._ping_timer)
+            self._cancel_timer(self._ping_timer)
             self._ping_timer = None
         if self._claiming:
             self._cancel_claim()
@@ -386,11 +447,17 @@ class FaultTolerantOpenCubeNode(OpenCubeMutexNode):
         self._lend_borrower = borrower
         self._lend_source = source
         self._lend_loan_id = loan_id
-        self._arm_lend_timer(self.lend_timeout(borrower, source))
+        if self._lend_timer is not None:
+            self._cancel_timer(self._lend_timer)
+        self._lend_timer = self._set_timer(self.lend_timeout(borrower, source), _TIMER_LEND)
 
     def _hook_token_returned(self) -> None:
-        self._cancel_lend_timer()
-        self._cancel_enquiry_timer()
+        if self._lend_timer is not None:
+            self._cancel_timer(self._lend_timer)
+            self._lend_timer = None
+        if self._enquiry_timer is not None:
+            self._cancel_timer(self._enquiry_timer)
+            self._enquiry_timer = None
         self._lend_borrower = None
         self._lend_source = None
         self._lend_loan_id = None
@@ -418,13 +485,15 @@ class FaultTolerantOpenCubeNode(OpenCubeMutexNode):
         return self.father is None and not self.token_here and not self.asking
 
     def _start_local_request(self) -> None:
-        if self.searching or self._claiming or self._is_disconnected():
-            # The node is still reconnecting (typically right after a
-            # recovery): it has no usable father yet, so the wish is queued
-            # and served as soon as the search concludes.
+        # While the node is still reconnecting (typically right after a
+        # recovery) it has no usable father yet, so the wish is queued and
+        # served as soon as the search concludes.
+        if self.searching or self._claiming:
             self.pending.append(("local",))
-            if self._is_disconnected() and not self.searching and not self._claiming:
-                self._start_search(start_phase=1, reason="reconnect")
+            return
+        if self._is_disconnected():
+            self.pending.append(("local",))
+            self._start_search(start_phase=1, reason="reconnect")
             return
         # Issuing a new own request invalidates the memory of a previously
         # returned loan (the enquiry answer must not claim "returned" about a
@@ -459,31 +528,34 @@ class FaultTolerantOpenCubeNode(OpenCubeMutexNode):
         else:  # pragma: no cover - defensive
             super().on_timer(name, payload)
 
-    def _arm_await_timer(self) -> None:
+    def _arm_await_timer(self, delay: float | None = None) -> None:
+        """(Re)arm the suspicion timer; at most one is ever live per node."""
         self._cancel_await_timer()
-        self._await_timer = self.env.set_timer(self.await_token_timeout, _TIMER_AWAIT_TOKEN)
+        self._await_timer = self._set_timer(
+            self._await_timeout if delay is None else delay, _TIMER_AWAIT_TOKEN
+        )
 
     def _cancel_await_timer(self) -> None:
         if self._await_timer is not None:
-            self.env.cancel_timer(self._await_timer)
+            self._cancel_timer(self._await_timer)
             self._await_timer = None
 
     def _arm_lend_timer(self, delay: float) -> None:
         self._cancel_lend_timer()
-        self._lend_timer = self.env.set_timer(delay, _TIMER_LEND)
+        self._lend_timer = self._set_timer(delay, _TIMER_LEND)
 
     def _cancel_lend_timer(self) -> None:
         if self._lend_timer is not None:
-            self.env.cancel_timer(self._lend_timer)
+            self._cancel_timer(self._lend_timer)
             self._lend_timer = None
 
     def _arm_enquiry_timer(self) -> None:
         self._cancel_enquiry_timer()
-        self._enquiry_timer = self.env.set_timer(self.round_trip_timeout, _TIMER_ENQUIRY)
+        self._enquiry_timer = self._set_timer(self._round_trip, _TIMER_ENQUIRY)
 
     def _cancel_enquiry_timer(self) -> None:
         if self._enquiry_timer is not None:
-            self.env.cancel_timer(self._enquiry_timer)
+            self._cancel_timer(self._enquiry_timer)
             self._enquiry_timer = None
 
     # ------------------------------------------------------------------
@@ -550,7 +622,7 @@ class FaultTolerantOpenCubeNode(OpenCubeMutexNode):
         if message.status is EnquiryStatus.IN_CRITICAL_SECTION:
             # Ill-founded suspicion: keep waiting a full lend period.
             self._returned_reply_streak = 0
-            self._arm_lend_timer(self.round_trip_timeout + self.cs_duration_estimate)
+            self._arm_lend_timer(self._round_trip + self.cs_duration_estimate)
         elif message.status is EnquiryStatus.TOKEN_RETURNED:
             # The token is claimed to be on its way back on a reliable
             # channel: wait one more bounded delay for it.  A "returned"
@@ -561,7 +633,7 @@ class FaultTolerantOpenCubeNode(OpenCubeMutexNode):
                 self._returned_reply_streak = 0
                 self._regenerate_token()
             else:
-                self._arm_lend_timer(self.round_trip_timeout)
+                self._arm_lend_timer(self._round_trip)
         else:
             self._returned_reply_streak = 0
             self._regenerate_token()
@@ -639,7 +711,7 @@ class FaultTolerantOpenCubeNode(OpenCubeMutexNode):
         self._ping_probe_id += 1
         self._ping_target = self.father
         self.env.send(self.father, PingMessage(probe_id=self._ping_probe_id))
-        self._ping_timer = self.env.set_timer(self.round_trip_timeout, _TIMER_PING)
+        self._ping_timer = self._set_timer(self._round_trip, _TIMER_PING)
 
     def _receive_ping(self, sender: int, message: PingMessage) -> None:
         self.env.send(sender, PingReply(probe_id=message.probe_id))
@@ -647,7 +719,7 @@ class FaultTolerantOpenCubeNode(OpenCubeMutexNode):
     def _receive_ping_reply(self, sender: int, message: PingReply) -> None:
         if message.probe_id != self._ping_probe_id or self._ping_timer is None:
             return
-        self.env.cancel_timer(self._ping_timer)
+        self._cancel_timer(self._ping_timer)
         self._ping_timer = None
         if self.token_here or not self.asking:
             return
@@ -658,8 +730,10 @@ class FaultTolerantOpenCubeNode(OpenCubeMutexNode):
         else:
             self._alive_father_backoffs += 1
         # The father is alive: the delay is (very likely) queueing, keep
-        # waiting with a slightly longer fuse.
-        self._await_timer = self.env.set_timer(self.await_token_timeout, _TIMER_AWAIT_TOKEN)
+        # waiting with a slightly longer fuse.  Cancel-then-arm: a search
+        # started by an `anomaly` while the probe was in flight may already
+        # have re-armed the timer (see _regenerate_request).
+        self._arm_await_timer()
 
     def _on_ping_timeout(self) -> None:
         """No reply from the father within 2*delta: it is down, reconnect."""
@@ -703,19 +777,19 @@ class FaultTolerantOpenCubeNode(OpenCubeMutexNode):
 
     def _arm_search_timer(self) -> None:
         if self._search_timer is not None:
-            self.env.cancel_timer(self._search_timer)
+            self._cancel_timer(self._search_timer)
         # Re-probes of "try later" nodes back off exponentially so a long
         # queue ahead of the probed node does not translate into a storm of
         # test messages.
-        wait = self.round_trip_timeout * (2 ** min(self._search_retry_round, 4))
-        self._search_timer = self.env.set_timer(wait, _TIMER_SEARCH_PHASE)
+        wait = self._round_trip * (2 ** min(self._search_retry_round, 4))
+        self._search_timer = self._set_timer(wait, _TIMER_SEARCH_PHASE)
 
     def _stop_search(self) -> None:
         self.searching = False
         self._search_waiting = set()
         self._search_try_later = set()
         if self._search_timer is not None:
-            self.env.cancel_timer(self._search_timer)
+            self._cancel_timer(self._search_timer)
             self._search_timer = None
 
     def _receive_test(self, sender: int, message: TestMessage) -> None:
@@ -819,7 +893,7 @@ class FaultTolerantOpenCubeNode(OpenCubeMutexNode):
         if not self.asking and self._recovery_retries < self.max_recovery_retries:
             self._recovery_retries += 1
             retry_delay = 4.0 * self.env.max_delay * self._recovery_retries
-            self.env.set_timer(retry_delay, _TIMER_SEARCH_RETRY)
+            self._set_timer(retry_delay, _TIMER_SEARCH_RETRY)
             return
         if self.asking and self._root_conclusion_retries < self.max_root_conclusion_retries:
             # Finding nobody of sufficient power usually means the previous
@@ -848,12 +922,12 @@ class FaultTolerantOpenCubeNode(OpenCubeMutexNode):
         for other in range(1, self.n + 1):
             if other != self.node_id:
                 self.env.send(other, claim)
-        self._claim_timer = self.env.set_timer(self.round_trip_timeout, _TIMER_CLAIM)
+        self._claim_timer = self._set_timer(self._round_trip, _TIMER_CLAIM)
 
     def _cancel_claim(self) -> None:
         self._claiming = False
         if self._claim_timer is not None:
-            self.env.cancel_timer(self._claim_timer)
+            self._cancel_timer(self._claim_timer)
             self._claim_timer = None
 
     def _receive_root_claim(self, sender: int, message: RootClaimMessage) -> None:
@@ -875,11 +949,11 @@ class FaultTolerantOpenCubeNode(OpenCubeMutexNode):
         # charge): back off and try again later if still disconnected.
         backoff = 4.0 * self.env.max_delay * min(self._claim_attempts, 8)
         if self.asking and not self.token_here:
-            self._await_timer = self.env.set_timer(backoff, _TIMER_AWAIT_TOKEN)
+            self._arm_await_timer(backoff)
         elif self.father is None and not self.token_here:
             # Recovered node still without a father: keep trying to
             # reconnect (the rejection proves a live root or token exists).
-            self.env.set_timer(backoff, _TIMER_SEARCH_RETRY)
+            self._set_timer(backoff, _TIMER_SEARCH_RETRY)
 
     def _on_claim_timeout(self) -> None:
         """Nobody objected within 2*delta: regenerate the token here."""

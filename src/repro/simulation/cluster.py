@@ -32,8 +32,7 @@ class SimEnvironment(Environment):
     def __init__(self, cluster: "SimulatedCluster", node_id: int) -> None:
         self._cluster = cluster
         self._node_id = node_id
-        self._next_timer_id = 0
-        self._timers: dict[int, Any] = {}
+        self._schedule_timer = cluster.simulator.schedule_timer
         # Per-instance closure shadows the class method: the whole send fast
         # path runs in one frame with every stable reference pre-bound.
         self.send = cluster._make_send(node_id)
@@ -59,26 +58,19 @@ class SimEnvironment(Environment):
             "SimEnvironment.send is shadowed by the per-instance fast path"
         )
 
-    def set_timer(self, delay: float, name: str, payload: Any = None) -> int:
-        self._next_timer_id += 1
-        timer_id = self._next_timer_id
-        event = self._cluster.simulator.schedule(
-            delay,
-            TimerExpiry(node=self._node_id, timer_id=timer_id, name=name, payload=payload),
-        )
-        self._timers[timer_id] = event
-        return timer_id
+    def set_timer(self, delay: float, name: str, payload: Any = None) -> Any:
+        # The handle is the agenda entry itself: no id counter and no
+        # id -> entry table to maintain per arm/cancel.  The expiry's
+        # ``timer_id`` field is for callers that number their timers.
+        return self._schedule_timer(delay, TimerExpiry(self._node_id, 0, name, payload))
 
-    def cancel_timer(self, timer_id: int) -> None:
-        event = self._timers.pop(timer_id, None)
-        if event is not None:
-            Simulator.cancel(event)
+    #: Cancelling a handle is cancelling its agenda entry — a no-op once the
+    #: timer fired or was cancelled (by hand, or by a crash).
+    cancel_timer = staticmethod(Simulator.cancel)
 
     def cancel_all_timers(self) -> None:
         """Cancel every outstanding timer of the node (used on crash)."""
-        for event in self._timers.values():
-            Simulator.cancel(event)
-        self._timers.clear()
+        self._cluster.simulator.cancel_timers(self._node_id)
 
 
 class SimulatedCluster:
@@ -427,7 +419,6 @@ class SimulatedCluster:
         node_id = expiry.node
         if node_id in self.failed:
             return
-        self._environments[node_id]._timers.pop(expiry.timer_id, None)
         trace = self._trace
         if trace is not None:
             trace.emit(self.simulator._time, TraceCategory.TIMER, node_id, name=expiry.name)

@@ -22,6 +22,12 @@ plain mutable list ``[time, sequence, tag, payload, cancelled, owner]``:
   simulator while the entry is live (so cancellation can maintain the live
   pending-event counter) and is cleared once processed.
 
+An entry doubles as the handle of what it scheduled: ``Simulator.cancel``
+takes it, and for timers it is what ``SimEnvironment.set_timer`` returns to
+the node — an opaque value there, to be handed back and nothing else.  A
+cancelled entry leaves the heap when it is popped or when the simulator
+compacts the agenda, whichever comes first.
+
 The payload classes use ``__slots__`` and hand-written initialisers: they are
 allocated once per message/timer on the hot path, where dataclass-generated
 ``__init__`` (and especially ``frozen=True``'s ``object.__setattr__``) showed
@@ -68,7 +74,13 @@ class MessageDelivery:
 
 
 class TimerExpiry:
-    """A timer set by ``node`` firing; carried name/payload are opaque."""
+    """A timer set by ``node`` firing; carried name/payload are opaque.
+
+    ``timer_id`` is for callers that number their own timers.  The
+    simulated environment does not: the handle of a timer is its agenda
+    entry (see ``Simulator.schedule_timer``), so ``SimEnvironment`` leaves
+    the field 0 and finds a node's timers by ``node``.
+    """
 
     __slots__ = ("node", "timer_id", "name", "payload")
 

@@ -47,12 +47,21 @@ class Environment(abc.ABC):
         """Send ``message`` to node ``dest`` (asynchronous, reliable)."""
 
     @abc.abstractmethod
-    def set_timer(self, delay: float, name: str, payload: Any = None) -> int:
-        """Arm a timer; returns an identifier usable with :meth:`cancel_timer`."""
+    def set_timer(self, delay: float, name: str, payload: Any = None) -> Any:
+        """Arm a timer; returns a handle usable with :meth:`cancel_timer`.
+
+        The handle is **opaque** and never ``None``: a node may keep it,
+        hand it back to :meth:`cancel_timer` and compare it to ``None``,
+        nothing else.  The simulator returns the agenda entry itself, the
+        asyncio and lock-service hosts return ints.
+        """
 
     @abc.abstractmethod
-    def cancel_timer(self, timer_id: int) -> None:
-        """Cancel a timer previously returned by :meth:`set_timer`."""
+    def cancel_timer(self, timer_id: Any) -> None:
+        """Cancel a timer by the handle :meth:`set_timer` returned.
+
+        A no-op when the timer already fired or was already cancelled.
+        """
 
 
 class MutexNode(abc.ABC):

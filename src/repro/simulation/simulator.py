@@ -22,11 +22,40 @@ per-event Python niceties:
   cancel and pop — not an O(n) scan of the heap,
 * :meth:`Simulator.run` inlines the pop/dispatch loop so the common case
   (thousands of deliveries) costs one heap pop, one counter update and one
-  jump-table call per event.
+  jump-table call per event,
+* timers have the same kind of fast path as deliveries:
+  :meth:`Simulator.schedule_timer` pushes an already-built
+  :class:`~repro.simulation.events.TimerExpiry` with no payload-type lookup,
+  and the returned agenda entry *is* the timer handle — cancelling it is
+  :meth:`Simulator.cancel`, with no id counter and no id -> entry table in
+  between (the fault-tolerant nodes arm and cancel a suspicion timer on
+  almost every request, and in a healthy run every one is cancelled).
+
+Agenda compaction
+-----------------
+
+A cancelled entry stays in the heap until its due time, and a suspicion
+timer's due time is far in the future, so without care the heap of a
+fault-tolerant run is mostly dead timers (two orders of magnitude more than
+live entries at n = 4096) and every push and pop pays for their depth.
+:meth:`Simulator.cancel` therefore counts the dead entries and, once they
+exceed both :data:`COMPACT_FLOOR` and half the heap, drops them all and
+re-heapifies — *in place*, because :meth:`Simulator.run` holds a local alias
+of the list.  The invariant: after every :meth:`cancel`, and whenever the
+simulator is idle (between :meth:`run` / :meth:`step` calls),
+``len(heap) <= 2 * live + COMPACT_FLOOR``.  The cost is amortised O(1) per
+cancel (a compaction of ``k`` entries removes more than ``k / 2`` of them),
+and the per-event path of a run that never cancels is untouched: the dead
+count is only written by :meth:`cancel` and on the branch that pops an
+already-cancelled entry, and the run loops look at it once, on exit.
 
 Determinism is unchanged by all of this: entries are still ordered by
-``(time, sequence)`` exactly as before, so a given seed produces a
-byte-identical event order (pinned by ``tests/simulation/test_determinism``).
+``(time, sequence)`` exactly as before — a total order, sequences being
+unique, so the pop order of a heap depends only on the *set* of live entries
+and never on its internal layout — and a given seed produces a
+byte-identical event order (pinned by ``tests/simulation/test_determinism``
+and by the reference-model property test in
+``tests/simulation/test_agenda_compaction``).
 
 The engine knows nothing about mutual exclusion; the
 :class:`~repro.simulation.cluster.SimulatedCluster` layers the network,
@@ -51,10 +80,15 @@ from repro.simulation.events import (
     TimerExpiry,
 )
 
-__all__ = ["Simulator"]
+__all__ = ["Simulator", "COMPACT_FLOOR"]
 
 #: Agenda entry layout: [time, sequence, tag, payload, cancelled, owner].
 AgendaEntry = list
+
+#: Dead (cancelled, not yet popped) entries the agenda tolerates before it
+#: considers compacting; below it a sweep would cost more than the heap
+#: depth it saves.  See "Agenda compaction" in the module docstring.
+COMPACT_FLOOR = 64
 
 _TAG_OF = {MessageDelivery: TAG_DELIVERY, TimerExpiry: TAG_TIMER, ScheduledAction: TAG_ACTION}
 
@@ -88,6 +122,7 @@ class Simulator:
         self._sequence: int = 0
         self._processed: int = 0
         self._pending: int = 0
+        self._dead: int = 0
         self._peak_pending: int = 0
         self._run_horizon: float = float("inf")
         self.rng = random.Random(seed)
@@ -157,7 +192,8 @@ class Simulator:
         Sampled after every push — pops only shrink the heap, so push-time
         sampling is exact.  Unlike :attr:`pending_events` it counts
         cancelled-but-not-yet-popped entries too, which is the honest
-        memory figure.  With eager workload scheduling this is O(requests);
+        memory figure (compaction bounds those by ``live + COMPACT_FLOOR``).
+        With eager workload scheduling this is O(requests);
         with the bounded-window feeder it stays O(active + window) — the
         number the scale benchmark reports as ``agenda_peak``.
         """
@@ -233,6 +269,26 @@ class Simulator:
             self._peak_pending = len(heap)
         return entry
 
+    def schedule_timer(self, delay: float, expiry: TimerExpiry) -> AgendaEntry:
+        """Fast-path scheduling of one timer, ``delay`` from now.
+
+        The :data:`TAG_TIMER` twin of :meth:`schedule_delivery`: the caller
+        already knows it holds a :class:`TimerExpiry`, so the payload-type
+        lookup of :meth:`schedule_at` is skipped.  The returned entry is the
+        timer's handle — pass it to :meth:`cancel` to disarm it.
+        """
+        if delay < 0:
+            raise SimulationError(f"delay must be non-negative, got {delay}")
+        seq = self._sequence + 1
+        self._sequence = seq
+        entry: AgendaEntry = [self._time + delay, seq, TAG_TIMER, expiry, False, self]
+        heap = self._heap
+        heapq.heappush(heap, entry)
+        self._pending += 1
+        if len(heap) > self._peak_pending:
+            self._peak_pending = len(heap)
+        return entry
+
     def schedule_request(
         self, time: float, payload: tuple[int, int, Any, Any]
     ) -> AgendaEntry:
@@ -279,13 +335,49 @@ class Simulator:
         """Mark a scheduled event as cancelled (it will be skipped).
 
         Safe to call more than once and after the event has been processed.
+        The entry stays in the heap until it is popped or swept by a
+        compaction (see "Agenda compaction" in the module docstring).
         """
         if not event[4]:
             event[4] = True
             owner = event[5]
             if owner is not None:
+                # Live entries are exactly the ones still in the heap, so
+                # this one just became a dead heap entry.
                 owner._pending -= 1
                 event[5] = None
+                owner._dead += 1
+                owner._compact_if_mostly_dead()
+
+    def _compact_if_mostly_dead(self) -> None:
+        """Sweep the cancelled entries out once they dominate the heap.
+
+        Called after every :meth:`cancel`, and by :meth:`step` and
+        :meth:`run` on their way out: pops of live entries shrink the live
+        side of the invariant without looking at it.
+        """
+        heap = self._heap
+        if self._dead > COMPACT_FLOOR and self._dead * 2 > len(heap):
+            # In place: a run() in progress holds a local alias of the list.
+            heap[:] = [entry for entry in heap if not entry[4]]
+            heapq.heapify(heap)
+            self._dead = 0
+
+    def cancel_timers(self, node: int) -> int:
+        """Cancel every pending timer owned by ``node``; return how many.
+
+        One O(pending) agenda scan — meant for rare events (a node crash),
+        which is what lets timers live without a per-node handle table.
+        """
+        doomed = [
+            entry
+            for entry in self._heap
+            if entry[2] == TAG_TIMER and not entry[4] and entry[3].node == node
+        ]
+        # Collected first: a cancel may compact the heap being scanned.
+        for entry in doomed:
+            self.cancel(entry)
+        return len(doomed)
 
     # ------------------------------------------------------------------
     # Execution
@@ -296,12 +388,14 @@ class Simulator:
         while heap:
             entry = heapq.heappop(heap)
             if entry[4]:
+                self._dead -= 1
                 continue
             entry[5] = None
             self._pending -= 1
             self._time = entry[0]
             self._processed += 1
             self._jump[entry[2]](entry[3])
+            self._compact_if_mostly_dead()
             return True
         return False
 
@@ -337,6 +431,10 @@ class Simulator:
         # reporting properties, never by event handlers mid-run, so updating
         # them once per run() (exception-safely) instead of once per event
         # keeps the loop tight.  `_time` must stay live: handlers read `now`.
+        # `_dead` is live too (cancel() reads it to decide on a compaction),
+        # but only the cancelled-pop branches write it.  A compaction
+        # triggered from inside a handler rewrites `heap` in place, between
+        # two iterations: no loop holds a heap index across a dispatch.
         try:
             if until is not None and exclusive:
                 # Strict-horizon window (sharded engine); a separate loop so
@@ -351,6 +449,7 @@ class Simulator:
                     entry = heap[0]
                     if entry[4]:
                         pop(heap)
+                        self._dead -= 1
                         continue
                     if entry[0] >= self._run_horizon:
                         break
@@ -371,6 +470,7 @@ class Simulator:
                 while heap:
                     entry = pop(heap)
                     if entry[4]:
+                        self._dead -= 1
                         continue
                     if processed == budget:
                         heapq.heappush(heap, entry)
@@ -387,6 +487,7 @@ class Simulator:
                 entry = heap[0]
                 if entry[4]:
                     pop(heap)
+                    self._dead -= 1
                     continue
                 if entry[0] > until:
                     break
@@ -403,6 +504,7 @@ class Simulator:
         finally:
             self._processed += processed
             self._pending -= processed
+            self._compact_if_mostly_dead()
 
     def tighten_run_horizon(self, time: float) -> None:
         """Close the current strict-horizon :meth:`run` window at ``time``.
@@ -436,6 +538,7 @@ class Simulator:
         heap = self._heap
         while heap and heap[0][4]:
             heapq.heappop(heap)
+            self._dead -= 1
         return heap[0] if heap else None
 
     def earliest_event_at(self, nodes) -> tuple[float | None, float | None]:

@@ -32,6 +32,15 @@ GOLDEN_DIGEST = "51796c98bf6d15f69aca1ddd0b336407c6264e7736cb9d439631eb96b0c9063
 #: differ, and this digest locks that canonical streamed order down.
 STREAMED_DIGEST = "e613ba3eb6d8bb39366bb798615bda941831629bce6be7ff2585d0140aa78203"
 
+#: sha256 of the fault-tolerant run under load below, computed on commit
+#: db4145d — the parent of the PR that flattened the Section 5 hot path,
+#: gave timers opaque handles and taught the agenda to compact — before any
+#: source edit.  The FT half of GOLDEN_DIGEST is n = 8 / 24 requests and
+#: never leaves the happy path; this one sends all twelve message kinds
+#: (search sweeps, try-later answers, father pings, enquiries, an anomaly, a
+#: root claim, a regenerated token) through ~8 500 events.
+FT_LOAD_DIGEST = "cdc9064f3a118fd89a3286708a50f69b30899de6fdf570bec3f391256d77ac52"
+
 
 def run_golden_scenario():
     """The pinned scenario: a concurrent run and a faulty run, seeded."""
@@ -116,6 +125,33 @@ def run_golden_scenario_with_tracing():
     return results
 
 
+def run_ft_load_scenario(**cluster_kwargs):
+    """The pinned FT scenario: n = 64, 320 Poisson requests, three crashes.
+
+    Two scheduled crash/recover pairs, and a third that hits whoever holds
+    the token: the first node granted after t = 300 dies inside its
+    critical section.
+    """
+    messages._request_counter = itertools.count(1)
+    cluster = build_cluster("open-cube-ft", 64, seed=39, trace=True, **cluster_kwargs)
+    poisson_arrivals(64, 320, rate=0.3, seed=88, hold=0.3).apply(cluster)
+    cluster.fail_node(30, at=47.9)
+    cluster.recover_node(30, at=143.5)
+    cluster.fail_node(44, at=264.7)
+    cluster.recover_node(44, at=307.2)
+    crashed = []
+
+    def crash_holder(node_id, time):
+        if time >= 300.0 and not crashed:
+            crashed.append(node_id)
+            cluster.fail_node(node_id, at=time + 0.1)
+            cluster.recover_node(node_id, at=time + 90.0)
+
+    cluster.add_grant_listener(crash_holder)
+    cluster.run_until_quiescent()
+    return [cluster]
+
+
 def run_streamed_scenario(**cluster_kwargs):
     """The pinned feeder scenario: a streamed n=64 Poisson run, seeded."""
     messages._request_counter = itertools.count(1)
@@ -148,6 +184,28 @@ class TestStreamedGoldenTrace:
         assert streamed.metrics.summary() == eager.metrics.summary()
         # And the agenda stayed O(active + window) instead of O(requests).
         assert streamed.simulator.peak_pending < eager.simulator.peak_pending
+
+
+class TestFaultTolerantGoldenTrace:
+    def test_ft_run_under_load_matches_parent_commit_digest(self):
+        (cluster,) = clusters = run_ft_load_scenario()
+        assert trace_digest(clusters) == FT_LOAD_DIGEST
+        # The scenario still reaches what it was chosen for.
+        kinds = cluster.metrics.messages_by_kind
+        for kind in (
+            "TestMessage", "AnswerMessage", "PingMessage", "PingReply", "EnquiryMessage",
+            "EnquiryReply", "AnomalyMessage", "RootClaimMessage", "TokenMessage+regenerated",
+        ):
+            assert kinds[kind] > 0, kind
+        assert len(cluster.metrics.failures) == 3
+
+    def test_ft_digest_unchanged_in_telemetry_mode_with_tracing(self):
+        clusters = run_ft_load_scenario(
+            metrics_detail="telemetry", telemetry_options={"trace_sample": 0.25}
+        )
+        clusters[0].metrics.finalize_telemetry(clusters[0].now)
+        assert trace_digest(clusters) == FT_LOAD_DIGEST
+        assert clusters[0].metrics.telemetry.tracing.block()["sampled"] > 0
 
 
 class TestTracingKeepsGoldenDigests:
