@@ -227,8 +227,9 @@ def failure_thresholds(n: int, *, cs_duration_estimate: float = 1.0) -> dict:
 
     A crash of the token holder legitimately stalls *everyone* until some
     waiting node's patience timer fires and the regeneration protocol
-    rebuilds the token — and that patience is the paper's suspicion delay,
-    ``2n(e + 2*delta)`` (``fault_tolerant_node.py``): O(n), not O(1).  The
+    rebuilds the token.  That patience is the paper's suspicion bound
+    ``2*pmax*delta`` plus this code's default grace ``2n(e + 2*delta)``
+    (``fault_tolerant_node.py``), so it is O(n), not O(log n).  The
     recorded n = 1024 cell recovers within ~3 periods (18.6k vs the 6.1k
     period); 8 periods is the bound — a stall past that means regeneration
     itself is broken, not merely slow.

@@ -87,10 +87,12 @@ class FaultTolerantOpenCubeNode(OpenCubeMutexNode):
         await_grace: extra waiting time added to the ``2*pmax*delta`` bound
             before an asking node suspects a failure.  The paper's bound
             ignores the time spent queueing behind other critical sections;
-            the grace period (default ``8 * (e + 2*delta)``, i.e. roughly
-            eight critical sections plus their hand-offs) keeps spurious
+            the grace period (default ``2n * (e + 2*delta)``, i.e. two
+            critical sections plus their hand-offs per node) keeps spurious
             suspicions rare without affecting the per-failure message counts
-            that the experiments measure.
+            that the experiments measure.  The grace is this code's
+            addition, not the paper's, and it makes a waiting node's
+            patience O(n), not O(log n).
         enquiry_enabled: allow disabling the root enquiry machinery (used by
             ablation benchmarks).
     """

@@ -134,8 +134,11 @@ class SweepRunner:
         processes: 1 (default) runs in-process and in order — the right
             choice for timing-sensitive benchmarks; ``> 1`` distributes the
             cells over a ``multiprocessing`` pool (rows still come back in
-            spec order).  Parallel workers each measure their own wall time,
-            so expect more timing noise per cell.
+            spec order).  Sharded cells (``spec.shards >= 1``) fork their
+            own shard workers, which a daemonic pool worker may not do, so
+            they run in the parent process alongside the pool.  Parallel
+            workers each measure their own wall time, so expect more timing
+            noise per cell.
         start_method: ``multiprocessing`` start method; defaults to
             ``"fork"`` where available (it does not re-import ``__main__``,
             so it also works from scripts run via stdin) and the platform
@@ -218,14 +221,18 @@ class SweepRunner:
             worker = (
                 _run_spec_payload_tolerant if self.tolerate_errors else _run_spec_payload
             )
-            payloads = [spec.to_dict() for spec in self.specs]
-            workers = min(self.processes, len(payloads))
+            # Pool workers are daemonic and may not fork, but a sharded cell
+            # forks its shard workers: those cells run here in the parent
+            # while the pool works through the rest.
+            payloads = [spec.to_dict() for spec in self.specs if not spec.shards]
+            workers = max(1, min(self.processes, len(payloads)))
             method = self.start_method
             if method is None and "fork" in multiprocessing.get_all_start_methods():
                 method = "fork"
             with multiprocessing.get_context(method).Pool(workers) as pool:
-                for row in pool.imap(worker, payloads):
-                    emit(row)
+                pooled = pool.imap(worker, payloads)
+                for spec in self.specs:
+                    emit(run_one(spec) if spec.shards else next(pooled))
         return rows
 
     def write_rows(self, rows: Iterable[dict[str, Any]], path: Path | str) -> None:

@@ -10,10 +10,13 @@ quantities without instrumenting the algorithms themselves.
 Detail modes
 ------------
 
-``MetricsCollector(detail="full")`` (the default) keeps one
-:class:`SentMessage` record per send, so memory grows with the number of
-messages — fine for experiments, wasteful for large benchmarks.  This is the
-only mode the record-based safety/liveness analysis
+``MetricsCollector(detail="full")`` (the default) keeps every send in a
+columnar :class:`SendLog` — a float time, two 32-bit node ids and a one-byte
+kind code, ~17 bytes a send where a :class:`SentMessage` object with its
+time float and list slot took ~110 — so memory still grows with the number
+of messages, only six times more slowly.  ``sent_messages`` reads like a
+list of records: each :class:`SentMessage` is materialised on access.  This
+is the only mode the record-based safety/liveness analysis
 (:mod:`repro.verification`) runs on.
 
 ``detail="counters"`` drops the per-*message* records: sends only bump
@@ -42,8 +45,12 @@ containers, by design.
 
 from __future__ import annotations
 
+import operator
+import sys
+from array import array
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.exceptions import ConfigurationError
@@ -51,6 +58,7 @@ from repro.telemetry.collector import RunTelemetry, TelemetryOptions
 
 __all__ = [
     "SentMessage",
+    "SendLog",
     "CriticalSectionInterval",
     "RequestRecord",
     "MetricsCollector",
@@ -66,6 +74,70 @@ class SentMessage:
     dest: int
     kind: str
     dropped: bool = False
+
+
+class SendLog(Sequence):
+    """Append-only columnar log of sends, read as a sequence of :class:`SentMessage`.
+
+    One parallel column per field: ``times`` (``array('d')``), ``senders``
+    and ``dests`` (``array('i')``, so node ids must fit in 32 bits) and
+    ``kinds``, a one-byte code per send indexing ``kind_names``, the tuple of
+    interned kind strings in first-seen order.  ``dropped`` is the sparse
+    set of indices of sends recorded as dropped.  :meth:`MetricsCollector
+    .record_send` appends to the columns directly; readers index, slice and
+    iterate it like the list of records it replaces, and it compares equal
+    to a list of equal records (so an empty log ``== []``).
+    """
+
+    __slots__ = ("times", "senders", "dests", "kinds", "kind_names", "kind_codes", "dropped")
+
+    def __init__(self) -> None:
+        self.times = array("d")
+        self.senders = array("i")
+        self.dests = array("i")
+        self.kinds = array("B")
+        self.kind_names: tuple[str, ...] = ()
+        self.kind_codes: dict[str, int] = {}
+        self.dropped: set[int] = set()
+
+    def add_kind(self, kind: str) -> int:
+        """Assign the next code to a kind not seen before and return it."""
+        code = len(self.kind_names)
+        if code == 256:
+            # Past 256 kinds one byte no longer holds a code.
+            self.kinds = array("I", self.kinds)
+        kind = sys.intern(kind)
+        self.kind_names += (kind,)
+        self.kind_codes[kind] = code
+        return code
+
+    def _record(self, i: int) -> SentMessage:
+        return SentMessage(
+            self.times[i],
+            self.senders[i],
+            self.dests[i],
+            self.kind_names[self.kinds[i]],
+            i in self.dropped,
+        )
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, index):  # type: ignore[override]
+        size = len(self.times)
+        if isinstance(index, slice):
+            return [self._record(i) for i in range(*index.indices(size))]
+        i = operator.index(index)
+        if i < 0:
+            i += size
+        if not 0 <= i < size:
+            raise IndexError("send log index out of range")
+        return self._record(i)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, SendLog)):
+            return len(other) == len(self) and list(self) == list(other)
+        return NotImplemented
 
 
 @dataclass(slots=True)
@@ -112,7 +184,7 @@ class MetricsCollector:
     """Accumulates counters and per-request records during a run.
 
     Args:
-        detail: ``"full"`` keeps a :class:`SentMessage` record per send;
+        detail: ``"full"`` keeps every send in a columnar :class:`SendLog`;
             ``"counters"`` only maintains integer counters so memory stays
             O(requests) on arbitrarily long runs; ``"telemetry"`` also drops
             the per-request records and streams everything through a
@@ -140,7 +212,8 @@ class MetricsCollector:
         self.detail = detail
         self._keep_records = detail == "full"
         self._total_sent: int = 0
-        self.sent_messages: list[SentMessage] = []
+        #: Every send in full mode; stays empty in the other modes.
+        self.sent_messages = SendLog()
         self.messages_by_kind: Counter[str] = Counter()
         self.messages_by_sender: Counter[int] = Counter()
         self.dropped_messages: int = 0
@@ -197,8 +270,17 @@ class MetricsCollector:
         self._total_sent += 1
         self.messages_by_kind[kind] += 1
         self.messages_by_sender[sender] += 1
-        self.sent_messages.append(SentMessage(time, sender, dest, kind, dropped))
+        log = self.sent_messages
+        log.times.append(time)
+        log.senders.append(sender)
+        log.dests.append(dest)
+        try:
+            log.kinds.append(log.kind_codes[kind])
+        except KeyError:
+            code = log.add_kind(kind)  # may replace log.kinds with a wider array
+            log.kinds.append(code)
         if dropped:
+            log.dropped.add(len(log.times) - 1)
             self.dropped_messages += 1
 
     def _record_send_counters(

@@ -192,6 +192,28 @@ class TestGridAndSweep:
             {k: r[k] for k in keys} for r in parallel
         ]
 
+    def test_parallel_sweep_runs_sharded_cells(self):
+        """Pool workers are daemonic and cannot fork shard workers, so a
+        sharded cell in a parallel sweep runs in the parent; rows still come
+        back in spec order and equal the serial sweep's."""
+        sharded = dict(
+            metrics_detail="telemetry", delay=DelaySpec("uniform", {"low": 0.5, "high": 1.0})
+        )
+        specs = [
+            poisson_spec(label="plain"),
+            poisson_spec(label="shard-control", shards=1, **sharded),
+            poisson_spec(label="sharded", shards=2, **sharded),
+            poisson_spec(label="plain-2", seed=8),
+        ]
+        serial = SweepRunner(specs=specs, processes=1).run()
+        parallel = SweepRunner(specs=specs, processes=2).run()
+        assert [row["label"] for row in parallel] == [spec.label for spec in specs]
+        keys = ("label", "total_messages", "requests_granted", "safety_ok", "liveness_ok")
+        assert [{k: r[k] for k in keys} for r in parallel] == [
+            {k: r[k] for k in keys} for r in serial
+        ]
+        assert [r.get("shards") for r in parallel] == [None, 1, 2, None]
+
     def test_invalid_process_count_rejected(self):
         runner = SweepRunner(specs=[poisson_spec()], processes=0)
         with pytest.raises(ConfigurationError):
