@@ -1,7 +1,7 @@
 """EXP-ABL: ablations of the design choices (behaviour rule, channels, delays).
 
-Not part of the paper's evaluation; DESIGN.md calls these out as the design
-choices worth isolating: the open-cube transit/proxy rule against the other
+Not part of the paper's evaluation; these are the design choices worth
+isolating: the open-cube transit/proxy rule against the other
 instances of the general scheme, FIFO vs out-of-order channels, and the
 sensitivity of message counts to the delay model (the justification for
 replacing the iPSC/2 testbed with a simulator).

@@ -912,7 +912,7 @@ class FaultTolerantOpenCubeNode(OpenCubeMutexNode):
         self._start_root_claim()
 
     # ------------------------------------------------------------------
-    # Root-claim arbitration (extension beyond the paper, see DESIGN.md)
+    # Root-claim arbitration (an extension beyond the paper)
     # ------------------------------------------------------------------
     def _start_root_claim(self) -> None:
         """Announce the intention to regenerate the token and wait 2*delta."""

@@ -266,8 +266,8 @@ class PingMessage(Message):
     request can legitimately wait much longer than the timeout (it queues
     behind other critical sections), and a reconnection storm triggered by
     such ill-founded suspicions destabilises the tree.  Probing the father
-    first costs two messages and filters out almost every false alarm; see
-    DESIGN.md ("substitutions and extensions").
+    first costs two messages and filters out almost every false alarm.  This
+    is an extension beyond the paper.
     """
 
     probe_id: int
@@ -290,7 +290,7 @@ class RootClaimMessage(Message):
     regenerating.  This reproduction adds an explicit claim round: the
     would-be root announces itself, and any node that holds the token, is the
     live root, or is itself claiming with a smaller identity rejects the
-    claim.  See DESIGN.md ("substitutions and extensions").
+    claim.  This is an extension beyond the paper.
     """
 
     claimant: int

@@ -1,4 +1,5 @@
-"""Experiment harness: one module per experiment family of DESIGN.md."""
+"""Experiment harness: one module per experiment family (complexity,
+comparison, failures, structure and the ablations beyond the paper)."""
 
 from repro.experiments.ablation import (
     behaviour_rule_ablation,

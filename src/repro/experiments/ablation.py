@@ -1,6 +1,6 @@
 """EXP-ABL: ablations of the design choices (not in the paper).
 
-Three ablations called out in DESIGN.md:
+Three ablations isolate the design choices the reproduction had to make:
 
 (a) behaviour rule: the open-cube rule versus always-transit (Naimi-Trehel
     regime), always-proxy and the Raymond-like rule, on the same initial
@@ -93,7 +93,7 @@ def delay_model_ablation(n: int = 32, *, requests: int | None = None, seed: int 
 
     Message *counts* should be essentially insensitive to the delay model on
     a serial workload — that insensitivity is what justifies substituting the
-    paper's iPSC/2 testbed with a simulator (DESIGN.md section 5).
+    paper's iPSC/2 testbed with a simulator.
     """
     count = requests if requests is not None else 4 * n
     models = {

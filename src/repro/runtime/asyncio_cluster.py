@@ -18,10 +18,11 @@ Semantics worth knowing:
   timeout never leaks a held lock or poisons the next acquire.
 * **Fault injection.**  Pass a
   :class:`~repro.simulation.network.NetworkFaults` as ``faults`` to subject
-  the message layer to seeded loss/duplication/partition windows (decision
-  order matches the simulator's adversarial path: partition first — no RNG
-  draw — then loss, then duplication).  :meth:`crash_node` /
-  :meth:`recover_node` fail-stop and restart a node on the live loop.
+  the message layer to seeded loss/duplication/partition windows: every
+  message asks :meth:`~repro.simulation.network.NetworkFaults.decide`, the
+  same decision the simulator's send path asks, and the cluster counts the
+  verdict.  :meth:`crash_node` / :meth:`recover_node` fail-stop and restart
+  a node on the live loop.
 * **Shutdown contract.**  :meth:`stop` first *drains*: it waits (bounded by
   ``drain_grace`` seconds) for in-flight deliveries and non-empty inboxes to
   settle, so messages already handed to the loop are processed rather than
@@ -45,7 +46,7 @@ from typing import Any, Mapping
 from repro.core.messages import Message
 from repro.exceptions import ConfigurationError, ReproError, SimulationError
 from repro.runtime.errors import AcquireInProgress, AcquireTimeout, NodeCrashed
-from repro.simulation.network import NetworkFaults
+from repro.simulation.network import DUPLICATE, PARTITION, NetworkFaults
 
 __all__ = ["AsyncioEnvironment", "AsyncioCluster"]
 
@@ -132,6 +133,8 @@ class AsyncioCluster:
         self.jitter = jitter
         self.max_delay = message_delay + jitter + 0.05
         self.rng = random.Random(seed)
+        if faults is not None:
+            faults.validate_nodes(len(self.nodes))
         self.faults = faults
         self.drain_grace = drain_grace
         self.start_time = time.monotonic()
@@ -236,19 +239,16 @@ class AsyncioCluster:
         copies = 1
         faults = self.faults
         if faults is not None:
-            # Same decision order as the simulator's adversarial send path:
-            # partition check first (no RNG draw), then loss, then dup.
-            now = time.monotonic() - self.start_time
-            if faults.blocked(sender, dest, now):
-                self.messages_blocked += 1
-                return
-            rng = faults.rng
-            if faults.loss_rate and rng.random() < faults.loss_rate:
-                self.messages_lost += 1
-                return
-            if faults.dup_rate and rng.random() < faults.dup_rate:
+            fault = faults.decide(sender, dest, time.monotonic() - self.start_time)
+            if fault == DUPLICATE:
                 self.messages_duplicated += 1
                 copies = 2
+            elif fault == PARTITION:
+                self.messages_blocked += 1
+                return
+            elif fault is not None:
+                self.messages_lost += 1
+                return
         self.messages_sent += 1
         # Duplicated copies carry a shared delivery tag so the receiving pump
         # can discard the extra copy — jittered delays may reorder distinct

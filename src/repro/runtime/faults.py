@@ -1,23 +1,20 @@
 """Runtime chaos injection: the adversarial fault layer on the real event loop.
 
-PR 6 built :class:`~repro.simulation.network.NetworkFaults` (seeded message
-loss, duplication and partition/heal windows) for the simulator; this module
-reuses those exact semantics on the asyncio runtime and adds the one fault
-the runtime can express that the fault layer cannot: node **crash/restart**
-injection against live servers.
+Message faults (seeded loss, duplication and partition/heal windows) are
+decided by :meth:`~repro.simulation.network.NetworkFaults.decide`, the one
+decision the simulator's send path and
+:class:`~repro.runtime.asyncio_cluster.AsyncioCluster` also ask.  This
+module wraps it for :class:`~repro.runtime.service.LockServer` and adds the
+one fault the runtime can express that the fault layer cannot: node
+**crash/restart** injection against live servers.
 
-Two consumers:
-
-* :class:`~repro.runtime.asyncio_cluster.AsyncioCluster` takes a
-  ``NetworkFaults`` directly (same decision order as the simulator's
-  adversarial send path: partition check first — no RNG draw — then a loss
-  draw, then a duplication draw).
-* :class:`~repro.runtime.service.LockServer` takes a :class:`RuntimeChaos`,
-  which wraps a ``NetworkFaults`` built from the same declarative
-  :class:`~repro.scenarios.spec.NetworkFaultSpec` used by scenarios and the
-  fuzzer, plus a :class:`CrashPlan` schedule.  Partition windows and crash
-  times are in *service time* (seconds since the shared service epoch), so a
-  chaos config is one reproducible, serialisable object.
+A :class:`RuntimeChaos` builds its ``NetworkFaults`` from the same
+declarative :class:`~repro.scenarios.spec.NetworkFaultSpec` used by
+scenarios and the fuzzer, maps each decision onto a wire verdict
+(:data:`SEND`, :data:`DROP`, :data:`DUPLICATE`) with its own counters, and
+carries a :class:`CrashPlan` schedule.  Partition windows and crash times
+are in *service time* (seconds since the shared service epoch), so a chaos
+config is one reproducible, serialisable object.
 
 Chaos only ever touches **protocol** links (server ↔ server).  Client
 connections and monitor event links stay reliable: the point is to stress
@@ -26,19 +23,19 @@ the algorithm, not to blind the observer measuring it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Iterable
 
 from repro.exceptions import ConfigurationError
 from repro.scenarios.spec import NetworkFaultSpec
-from repro.simulation.network import NetworkFaults
+from repro.simulation.network import DUPLICATE, LOSS, PARTITION
 
 __all__ = ["CrashPlan", "RuntimeChaos", "SEND", "DROP", "DUPLICATE"]
 
-#: Verdicts of :meth:`RuntimeChaos.on_send` (and the cluster's inline path).
+#: Verdicts of :meth:`RuntimeChaos.on_send`; ``DUPLICATE`` is the fault
+#: layer's own verdict.
 SEND = "send"
 DROP = "drop"
-DUPLICATE = "duplicate"
 
 
 @dataclass(frozen=True)
@@ -95,15 +92,11 @@ class RuntimeChaos:
         self.network = network
         self.crashes = tuple(crashes)
         self.seed = seed
-        faults = None
-        if network is not None and network.enabled:
-            faults = NetworkFaults(
-                loss_rate=network.loss_rate,
-                dup_rate=network.dup_rate,
-                partitions=tuple(p.build() for p in network.partitions),
-                seed=network.seed ^ seed,
-            )
-        self.faults = faults
+        self.faults = (
+            replace(network, seed=network.seed ^ seed).build()
+            if network is not None and network.enabled
+            else None
+        )
         self.lost = 0
         self.duplicated = 0
         self.blocked = 0
@@ -115,23 +108,23 @@ class RuntimeChaos:
     def on_send(self, sender: int, dest: int, now: float) -> str:
         """Decide the fate of one protocol message (service time ``now``).
 
-        Decision order matches the simulator's adversarial path exactly:
-        partition check first (no RNG draw), then loss, then duplication.
+        The verdict is :meth:`NetworkFaults.decide`'s, counted here:
+        a partition or a loss is a :data:`DROP`.
         """
         faults = self.faults
         if faults is None:
             return SEND
-        if faults.blocked(sender, dest, now):
+        fault = faults.decide(sender, dest, now)
+        if fault is None:
+            return SEND
+        if fault == PARTITION:
             self.blocked += 1
-            return DROP
-        rng = faults.rng
-        if faults.loss_rate and rng.random() < faults.loss_rate:
+        elif fault == LOSS:
             self.lost += 1
-            return DROP
-        if faults.dup_rate and rng.random() < faults.dup_rate:
+        else:
             self.duplicated += 1
             return DUPLICATE
-        return SEND
+        return DROP
 
     def crashes_for(self, node: int) -> tuple[CrashPlan, ...]:
         """The crash plan entries targeting ``node``."""

@@ -14,7 +14,7 @@ behalf).  The choice can be made by any rule; three notable rules are:
 * :class:`AlwaysTransitPolicy` — every node is permanently transit, which is
   the Naimi-Trehel regime: the tree follows the requests and can degenerate.
 
-These policies power the ablation experiments (EXP-ABL in DESIGN.md): same
+These policies power the ablation experiments (EXP-ABL, beyond the paper): same
 substrate, same workload, only the behaviour rule changes.
 """
 

@@ -2,8 +2,9 @@
 
 This subpackage replaces the paper's physical testbed (an Intel iPSC/2
 hypercube running an Estelle implementation) with a deterministic,
-seed-reproducible simulator.  See DESIGN.md section 5 for why this
-substitution preserves the quantities the paper reports (message counts).
+seed-reproducible simulator.  The substitution preserves the quantities
+the paper reports: message counts do not depend on the delay model on a
+serial workload (see :func:`repro.experiments.ablation.delay_model_ablation`).
 """
 
 from repro.simulation.cluster import SimEnvironment, SimulatedCluster

@@ -18,7 +18,14 @@ from repro.core.messages import Message, next_request_id
 from repro.exceptions import SimulationError
 from repro.simulation.events import MessageDelivery, TimerExpiry
 from repro.simulation.metrics import MetricsCollector
-from repro.simulation.network import ChannelState, DelayModel, NetworkFaults, UniformDelay
+from repro.simulation.network import (
+    DUPLICATE,
+    PARTITION,
+    ChannelState,
+    DelayModel,
+    NetworkFaults,
+    UniformDelay,
+)
 from repro.simulation.process import Environment, MutexNode
 from repro.simulation.simulator import Simulator
 from repro.simulation.trace import NullTracer, TraceCategory, Tracer
@@ -53,7 +60,7 @@ class SimEnvironment(Environment):
         # Never reached: __init__ installs the per-instance fast-path closure
         # which shadows this method.  The body exists to satisfy the
         # Environment ABC and to fail loudly if the shadowing ever breaks
-        # (delegating here would recurse through _send -> env.send).
+        # (there is no slower path to delegate to).
         raise AssertionError(
             "SimEnvironment.send is shadowed by the per-instance fast path"
         )
@@ -95,10 +102,12 @@ class SimulatedCluster:
             only valid with ``metrics_detail="telemetry"``.
         network_faults: optional adversarial message-fault layer
             (:class:`~repro.simulation.network.NetworkFaults`: seeded loss,
-            duplication, partition windows).  ``None`` — or a fault object
-            with nothing enabled — keeps the exact reliable-channel send
-            fast path, so fault-free runs are bit-identical to a cluster
-            built without the argument.
+            duplication, partition windows).  Each send, once accounted,
+            asks :meth:`~repro.simulation.network.NetworkFaults.decide`
+            whether the network blocks, loses or duplicates it.  ``None`` —
+            or a fault object with nothing enabled — is never asked, so
+            fault-free runs are bit-identical to a cluster built without
+            the argument.
         cs_duration: default critical-section hold time used by
             :meth:`request_cs` when the caller does not specify one.
 
@@ -132,17 +141,16 @@ class SimulatedCluster:
             detail=metrics_detail, telemetry_options=telemetry_options
         )
         self.tracer = Tracer(enabled=True, max_records=max_trace_records) if trace else NullTracer()
-        # Hot-path aliases: `_trace is None` lets _send/_deliver skip the
-        # emit call (and its kwarg packing) entirely when tracing is off, and
-        # the non-FIFO default skips the ChannelState indirection.
+        # Hot-path aliases: `_trace is None` lets each node's send closure
+        # (_make_send) and _deliver skip the emit call (and its kwarg
+        # packing) entirely when tracing is off.
         self._trace: Tracer | None = self.tracer if trace else None
-        self._fifo = fifo
         self._record_send = self.metrics.record_send
         self._sample_delay = self.delay_model.bind(self.simulator.rng)
         if network_faults is not None:
             network_faults.validate_nodes(len(self.nodes))
         #: The adversarial fault layer, or ``None`` when disabled — the send
-        #: fast path specialises on this at bind time (see _make_send).
+        #: path binds its decision only when set (see _make_send).
         self.network_faults: NetworkFaults | None = (
             network_faults if network_faults is not None and network_faults.enabled else None
         )
@@ -239,75 +247,40 @@ class SimulatedCluster:
         message runs through the returned closure once.  All stable
         references (node table, failed set, metrics recorder, sampler,
         scheduler) are captured at bind time so a send costs one frame and
-        no repeated attribute chains.  Drops are accounted at *delivery*
-        time (the fail-stop model loses messages in transit, not at the
-        sender), so a send towards a currently failed node is recorded as a
-        plain send.
+        no repeated attribute chains.  Crash drops are accounted at
+        *delivery* time (the fail-stop model loses messages in transit, not
+        at the sender), so a send towards a currently failed node is
+        recorded as a plain send; network faults are decided at send time.
         """
         nodes = self.nodes
         failed = self.failed
         simulator = self.simulator
         schedule_delivery = simulator.schedule_delivery
-        record_send = self._record_send
         sample_delay = self._sample_delay
         trace = self._trace
-        fifo = self._fifo
-        delivery_time = self.channels.delivery_time
-        # In streaming mode the counter updates are inlined here (bind-time
-        # specialisation) instead of paying a record_send frame per message.
+        # Optional stages are captured as one local each, ``None`` when off:
+        # every captured name costs a closure cell per node, so no bool flag
+        # rides beside them.  Non-FIFO skips the ChannelState indirection.
+        delivery_time = self.channels.delivery_time if self.channels.fifo else None
+        # In streaming mode (record_send is None) the counter updates are
+        # inlined here instead of paying a record_send frame per message.
         # Keep the inlined branch in sync with MetricsCollector.record_send /
         # _record_send_counters — the counters-vs-full equivalence test in
         # tests/simulation/test_determinism.py guards the pair.
         metrics = self.metrics
-        counters_only = not metrics._keep_records
+        record_send = self._record_send if metrics._keep_records else None
         by_kind = metrics.messages_by_kind
         by_sender = metrics.messages_by_sender
         recorder = self._trace_recorder
+        # The fault layer, bound only when one is enabled: a fault-free send
+        # pays two `decide is not None` tests and no RNG draw.  The
+        # duplicate's delay comes from the fault RNG, never the simulator's,
+        # so enabling faults leaves the run's delay sequence unperturbed.
         faults = self.network_faults
-
-        if faults is None:
-            # Reliable channels (the paper's model): the historical fast
-            # path, untouched — fault-free runs stay bit-identical.
-            def send(dest: int, message: Message) -> None:
-                if dest not in nodes:
-                    raise SimulationError(
-                        f"node {sender} sent a message to unknown node {dest}"
-                    )
-                if sender in failed:
-                    # A crashed node cannot act; silently ignore (defensive,
-                    # the cluster never invokes handlers of crashed nodes).
-                    return
-                now = simulator._time
-                kind = message.kind
-                if counters_only:
-                    metrics._total_sent += 1
-                    by_kind[kind] += 1
-                    by_sender[sender] += 1
-                else:
-                    record_send(now, sender, dest, kind)
-                if trace is not None:
-                    trace.emit(now, TraceCategory.SEND, sender, dest=dest, kind=kind)
-                if recorder is not None:
-                    recorder.on_send(now, sender, dest, message)
-                delay = sample_delay(sender, dest)
-                if fifo:
-                    arrival = delivery_time(sender, dest, now, delay)
-                else:
-                    arrival = now + delay
-                schedule_delivery(arrival, sender, dest, message, now)
-
-            return send
-
-        # Adversarial variant: same accounting, then the fault layer decides
-        # what the network actually does with the message.  All fault
-        # randomness (loss/dup coin flips and the duplicate's delay) comes
-        # from the fault RNG, never the simulator's, so the underlying run's
-        # delay sampling sequence is unperturbed by enabling faults.
-        loss_rate = faults.loss_rate
-        dup_rate = faults.dup_rate
-        partitions = faults.partitions
-        fault_rand = faults.rng.random
-        fault_delay = self.delay_model.bind(faults.rng)
+        decide = duplicate_delay = None
+        if faults is not None:
+            decide = faults.decide
+            duplicate_delay = self.delay_model.bind(faults.rng)
 
         def send(dest: int, message: Message) -> None:
             if dest not in nodes:
@@ -315,12 +288,14 @@ class SimulatedCluster:
                     f"node {sender} sent a message to unknown node {dest}"
                 )
             if sender in failed:
+                # A crashed node cannot act; silently ignore (defensive,
+                # the cluster never invokes handlers of crashed nodes).
                 return
             now = simulator._time
             kind = message.kind
             # The send is accounted first in every case — the sender did its
             # part; it is the network that eats or clones the message.
-            if counters_only:
+            if record_send is None:
                 metrics._total_sent += 1
                 by_kind[kind] += 1
                 by_sender[sender] += 1
@@ -330,37 +305,28 @@ class SimulatedCluster:
                 trace.emit(now, TraceCategory.SEND, sender, dest=dest, kind=kind)
             if recorder is not None:
                 recorder.on_send(now, sender, dest, message)
-            for window in partitions:
-                if window.severs(sender, dest, now):
-                    # No RNG draw for blocked messages: partition membership
-                    # is deterministic, so the fault RNG stream only depends
-                    # on the messages that actually reached the lossy link.
-                    metrics.blocked_messages += 1
+            if decide is not None:
+                fault = decide(sender, dest, now)
+                if fault is not None and fault != DUPLICATE:
+                    if fault == PARTITION:
+                        metrics.blocked_messages += 1
+                    else:
+                        metrics.lost_messages += 1
                     if trace is not None:
                         trace.emit(
                             now, TraceCategory.DROP, dest,
-                            sender=sender, kind=kind, fault="partition",
+                            sender=sender, kind=kind, fault=fault,
                         )
                     if recorder is not None:
-                        recorder.on_drop(now, sender, dest, message, "partition")
+                        recorder.on_drop(now, sender, dest, message, fault)
                     return
-            if loss_rate and fault_rand() < loss_rate:
-                metrics.lost_messages += 1
-                if trace is not None:
-                    trace.emit(
-                        now, TraceCategory.DROP, dest,
-                        sender=sender, kind=kind, fault="loss",
-                    )
-                if recorder is not None:
-                    recorder.on_drop(now, sender, dest, message, "loss")
-                return
             delay = sample_delay(sender, dest)
-            if fifo:
-                arrival = delivery_time(sender, dest, now, delay)
-            else:
+            if delivery_time is None:
                 arrival = now + delay
+            else:
+                arrival = delivery_time(sender, dest, now, delay)
             schedule_delivery(arrival, sender, dest, message, now)
-            if dup_rate and fault_rand() < dup_rate:
+            if decide is not None and fault is not None:
                 # The clone gets its own independently sampled delay and
                 # deliberately bypasses FIFO clamping: a duplicate arriving
                 # out of order is exactly the adversarial behaviour this
@@ -369,15 +335,13 @@ class SimulatedCluster:
                 if trace is not None:
                     trace.emit(
                         now, TraceCategory.SEND, sender,
-                        dest=dest, kind=kind, fault="duplicate",
+                        dest=dest, kind=kind, fault=fault,
                     )
-                schedule_delivery(now + fault_delay(sender, dest), sender, dest, message, now)
+                schedule_delivery(
+                    now + duplicate_delay(sender, dest), sender, dest, message, now
+                )
 
         return send
-
-    def _send(self, sender: int, dest: int, message: Message) -> None:
-        """Route one message (slow path for direct callers and tests)."""
-        self._environments[sender].send(dest, message)
 
     def _deliver(self, delivery: tuple[int, int, Message, float]) -> None:
         # The simulator hands deliveries over as plain tuples (see

@@ -12,10 +12,12 @@ detectors rely on.
 :class:`NetworkFaults` deliberately steps *outside* that model: seeded
 message loss, duplication and partition/heal windows — the adversarial edges
 the paper's fail-stop analysis does **not** cover.  The fuzzer
-(:mod:`repro.fuzz`) uses it to probe the boundary of the paper's claims; a
-cluster built without a fault layer runs the exact reliable-channel code
-path (bind-time specialisation, zero extra RNG draws), so fault-free runs
-stay bit-identical to the historical engine.
+(:mod:`repro.fuzz`) uses it to probe the boundary of the paper's claims.
+:meth:`NetworkFaults.decide` is the one fault decision every host asks per
+message — the simulator's send path, the asyncio cluster and the lock
+service's chaos filter: a severing partition first (no RNG draw), then the
+loss draw, then the duplication draw.  A host without a fault layer never
+calls it, so fault-free runs draw nothing extra and stay bit-identical.
 """
 
 from __future__ import annotations
@@ -37,7 +39,17 @@ __all__ = [
     "ChannelState",
     "PartitionWindow",
     "NetworkFaults",
+    "PARTITION",
+    "LOSS",
+    "DUPLICATE",
 ]
+
+#: Verdicts of :meth:`NetworkFaults.decide` (``None`` means deliver once).
+#: Each is also the ``fault`` name the simulator's trace and the causal
+#: trace recorder attach to the affected message.
+PARTITION = "partition"
+LOSS = "loss"
+DUPLICATE = "duplicate"
 
 
 class DelayModel(abc.ABC):
@@ -347,16 +359,27 @@ class NetworkFaults:
 
     @property
     def enabled(self) -> bool:
-        """Whether any fault is actually configured (else the cluster keeps
-        the exact reliable-channel fast path)."""
+        """Whether any fault is actually configured (else a host never asks
+        :meth:`decide`)."""
         return bool(self.loss_rate or self.dup_rate or self.partitions)
 
-    def blocked(self, sender: int, dest: int, now: float) -> bool:
-        """Whether an active partition severs ``sender -> dest`` at ``now``."""
+    def decide(self, sender: int, dest: int, now: float) -> str | None:
+        """The network's verdict on one message ``sender -> dest`` at ``now``.
+
+        Returns :data:`PARTITION` when an active window severs the pair —
+        decided with no RNG draw, so the fault RNG stream only depends on
+        the messages that reach the lossy link — else :data:`LOSS` on the
+        loss draw, else :data:`DUPLICATE` on the duplication draw, else
+        ``None`` (deliver once).  A zero rate draws nothing.
+        """
         for window in self.partitions:
             if window.severs(sender, dest, now):
-                return True
-        return False
+                return PARTITION
+        if self.loss_rate and self.rng.random() < self.loss_rate:
+            return LOSS
+        if self.dup_rate and self.rng.random() < self.dup_rate:
+            return DUPLICATE
+        return None
 
     def validate_nodes(self, n: int) -> None:
         """Check every partition only names nodes in ``1..n``."""
