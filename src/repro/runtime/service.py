@@ -266,6 +266,10 @@ class LockServer:
             raise ConfigurationError(
                 f"config names node {config.node_id} but the node is {node.node_id}"
             )
+        if config.chaos is not None and config.chaos.faults is not None:
+            # The simulator's rule, checked before any socket opens: a
+            # partition names only nodes 1..n and leaves one outside.
+            config.chaos.faults.validate_nodes(node.n)
         self.node = node
         self.config = config
         self.crashed = False

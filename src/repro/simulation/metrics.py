@@ -10,19 +10,41 @@ quantities without instrumenting the algorithms themselves.
 Detail modes
 ------------
 
-``MetricsCollector(detail="full")`` (the default) keeps every send in a
-columnar :class:`SendLog` — a float time, two 32-bit node ids and a one-byte
-kind code, ~17 bytes a send where a :class:`SentMessage` object with its
-time float and list slot took ~110 — so memory still grows with the number
-of messages, only six times more slowly.  ``sent_messages`` reads like a
-list of records: each :class:`SentMessage` is materialised on access.  This
-is the only mode the record-based safety/liveness analysis
-(:mod:`repro.verification`) runs on.
+``MetricsCollector(detail="full")`` (the default) keeps every send, every
+request and every critical-section interval in typed columns rather than one
+Python object each:
 
-``detail="counters"`` drops the per-*message* records: sends only bump
+* :class:`SendLog` — a float time, two 32-bit node ids and a one-byte kind
+  code, ~17 bytes a send where a :class:`SentMessage` object with its time
+  float and list slot took ~110;
+* :class:`RequestLog` — the node, the issue/grant/release times and the
+  message counter at issue and at grant, ~44 bytes a request where a
+  :class:`RequestRecord` with its boxed ints and floats took ~270;
+* :class:`IntervalLog` — the node and the entry/exit times, ~20 bytes an
+  interval where a :class:`CriticalSectionInterval` took ~56.
+
+Memory still grows with the run, only several times more slowly.  Every
+column grows in chunks of :data:`CHUNK` entries: a full chunk is sealed and
+never resized again, so a long run reallocates no large buffer, and the
+chunks a finished run frees have exactly the sizes the next run asks for.
+(With one flat array per column the process high-water mark crept up from
+run to run, as each run's arrays outgrew the holes the last one left.)
+
+The logs read like the containers of records they replace:
+``sent_messages`` and ``cs_intervals`` like lists of :class:`SentMessage` and
+:class:`CriticalSectionInterval`, ``requests`` like a dict of request id →
+:class:`RequestRecord`; an empty log equals ``[]`` (or ``{}``).  A record is
+built on access and is a copy: writing to it changes nothing in the log.
+Bulk readers — the derived quantities below and :mod:`repro.verification` —
+stream the raw columns through :meth:`RequestLog.column` /
+:meth:`IntervalLog.column` instead of building records; a time not yet
+recorded reads there as NaN and a message count as -1.  Full mode is the only
+mode the record-based safety/liveness analysis runs on.
+
+``detail="counters"`` drops the per-*message* columns: sends only bump
 integer counters (``messages_by_kind``, ``messages_by_sender``, the global
 total), so memory stays O(requests) regardless of how many messages flow.
-The per-*request* records are still kept, so every aggregate in
+The per-*request* and interval columns are still kept, so every aggregate in
 :meth:`MetricsCollector.summary` — totals, per-kind breakdown, per-request
 message attribution, waiting times — is identical to full mode; but note
 that :func:`repro.experiments.runner.run_workload` *skips* the record-based
@@ -30,39 +52,130 @@ safety/liveness analysis in this mode and reports
 ``safety_ok/liveness_ok/analysis_ok = None`` ("not analysed", never a hollow
 ``True``).
 
-``detail="telemetry"`` is the constant-memory scale mode: no
-:class:`SentMessage` *and* no :class:`RequestRecord` lists at all.  Instead
-the collector owns a :class:`~repro.telemetry.collector.RunTelemetry` hub
-that checks safety/liveness *online* (every CS enter/exit and grant) and
-folds waiting time, CS hold time and messages-per-request into streaming
-quantile sketches — so scale runs report real ``safety_ok``/``liveness_ok``
-booleans and p50/p90/p99 distributions in O(1) memory per metric.
-:meth:`summary` stays aggregate-identical to the other modes; the
-record-returning helpers (``sent_messages``, ``requests``,
-``satisfied_requests()``, ``messages_per_request()``) return empty
-containers, by design.
+``detail="telemetry"`` is the constant-memory scale mode: no send, request
+or interval columns are filled at all.  Instead the collector owns a
+:class:`~repro.telemetry.collector.RunTelemetry` hub that checks
+safety/liveness *online* (every CS enter/exit and grant) and folds waiting
+time, CS hold time and messages-per-request into streaming quantile sketches
+— so scale runs report real ``safety_ok``/``liveness_ok`` booleans and
+p50/p90/p99 distributions in O(1) memory per metric.  :meth:`summary` stays
+aggregate-identical to the other modes; the record-returning helpers
+(``sent_messages``, ``requests``, ``satisfied_requests()``,
+``messages_per_request()``) return empty containers, by design.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import sys
 from array import array
-from collections import Counter, defaultdict
-from collections.abc import Sequence
+from collections import Counter
+from collections.abc import ItemsView, Iterator, Mapping, Sequence, ValuesView
 from dataclasses import dataclass
-from typing import Any, Mapping
+from itertools import chain, islice
+from typing import Any
 
 from repro.exceptions import ConfigurationError
 from repro.telemetry.collector import RunTelemetry, TelemetryOptions
 
 __all__ = [
+    "CHUNK",
     "SentMessage",
     "SendLog",
     "CriticalSectionInterval",
+    "IntervalLog",
     "RequestRecord",
+    "RequestLog",
     "MetricsCollector",
 ]
+
+#: Entries per column chunk (see the module docstring).  A log reads it when
+#: it is built, so a test may set it smaller to exercise many chunks.
+CHUNK = 8192
+
+#: What a time column holds until the time is recorded (no grant, release or
+#: exit yet), and what a message-count column holds until the grant.
+_NO_TIME = math.nan
+_NO_COUNT = -1
+
+
+class _Columns:
+    """Parallel typed columns that grow in chunks of ``chunk`` entries.
+
+    A subclass names its columns in ``_fields`` as ``(name, typecode,
+    fill)``.  ``chunks[i]`` lists column ``i``'s chunks, the open one last,
+    and the attribute named after the column is that open chunk.  The
+    recording hooks append to a column whose ``fill`` is ``None``; the first
+    column is one of those, and its length counts the rows.  A column with a
+    fill value is written in place instead: each of its chunks is allocated
+    whole, ``chunk`` copies of ``fill``, when the chunk opens, and only its
+    first rows are read.  Every chunk but the open one holds exactly
+    ``chunk`` rows and is never resized again (an entry of it may still be
+    overwritten, say by a grant).
+    """
+
+    __slots__ = ("chunk", "chunks")
+    _fields: tuple[tuple[str, str, float | int | None], ...] = ()
+
+    def __init__(self) -> None:
+        self.chunk = CHUNK
+        self.chunks = tuple([] for _ in self._fields)
+
+    def open_chunk(self) -> None:
+        """Seal the (full) open chunks and open a new one per column."""
+        for (name, typecode, fill), chunks in zip(self._fields, self.chunks):
+            if chunks:
+                typecode = chunks[-1].typecode
+            chunk = array(typecode) if fill is None else array(typecode, (fill,)) * self.chunk
+            chunks.append(chunk)
+            setattr(self, name, chunk)
+
+    def _row_count(self) -> int:
+        chunks = self.chunks[0]
+        return (len(chunks) - 1) * self.chunk + len(chunks[-1]) if chunks else 0
+
+    def _cell(self, column: int, row: int) -> Any:
+        return self.chunks[column][row // self.chunk][row % self.chunk]
+
+    def _column(self, column: int) -> Iterator:
+        """One column's rows, in row order."""
+        values = chain.from_iterable(self.chunks[column])
+        if self._fields[column][2] is None:
+            return values
+        return islice(values, self._row_count())
+
+    def fields(self) -> Iterator[tuple]:
+        """Stream every row's raw fields, in row order, without building records."""
+        return zip(*map(self._column, range(len(self._fields))))
+
+
+class _RecordSequence(_Columns, Sequence):
+    """A :class:`_Columns` read as a list of records (``_record(i)``)."""
+
+    __slots__ = ()
+
+    def _record(self, i: int) -> Any:
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        return self._row_count()
+
+    def __getitem__(self, index):  # type: ignore[override]
+        size = self._row_count()
+        if isinstance(index, slice):
+            return [self._record(i) for i in range(*index.indices(size))]
+        i = operator.index(index)
+        if i < 0:
+            i += size
+        if not 0 <= i < size:
+            raise IndexError(f"{type(self).__name__} index out of range")
+        return self._record(i)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, _RecordSequence)):
+            return len(other) == len(self) and list(self) == list(other)
+        return NotImplemented
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,26 +189,28 @@ class SentMessage:
     dropped: bool = False
 
 
-class SendLog(Sequence):
+class SendLog(_RecordSequence):
     """Append-only columnar log of sends, read as a sequence of :class:`SentMessage`.
 
-    One parallel column per field: ``times`` (``array('d')``), ``senders``
-    and ``dests`` (``array('i')``, so node ids must fit in 32 bits) and
+    One parallel column per field, each grown in chunks (see
+    :class:`_Columns`): ``times`` (``array('d')``), ``senders`` and
+    ``dests`` (``array('i')``, so node ids must fit in 32 bits) and
     ``kinds``, a one-byte code per send indexing ``kind_names``, the tuple of
     interned kind strings in first-seen order.  ``dropped`` is the sparse
     set of indices of sends recorded as dropped.  :meth:`MetricsCollector
-    .record_send` appends to the columns directly; readers index, slice and
-    iterate it like the list of records it replaces, and it compares equal
-    to a list of equal records (so an empty log ``== []``).
+    .record_send` appends to the open chunks directly; readers index, slice
+    and iterate it like the list of records it replaces, and it compares
+    equal to a list of equal records (so an empty log ``== []``).
     """
 
     __slots__ = ("times", "senders", "dests", "kinds", "kind_names", "kind_codes", "dropped")
+    _fields = (
+        ("times", "d", None), ("senders", "i", None), ("dests", "i", None), ("kinds", "B", None),
+    )
 
     def __init__(self) -> None:
-        self.times = array("d")
-        self.senders = array("i")
-        self.dests = array("i")
-        self.kinds = array("B")
+        super().__init__()
+        self.open_chunk()
         self.kind_names: tuple[str, ...] = ()
         self.kind_codes: dict[str, int] = {}
         self.dropped: set[int] = set()
@@ -104,8 +219,9 @@ class SendLog(Sequence):
         """Assign the next code to a kind not seen before and return it."""
         code = len(self.kind_names)
         if code == 256:
-            # Past 256 kinds one byte no longer holds a code.
-            self.kinds = array("I", self.kinds)
+            # Past 256 kinds one byte no longer holds a code: the open chunk
+            # and every later one hold four-byte codes, sealed ones keep theirs.
+            self.kinds = self.chunks[3][-1] = array("I", self.kinds)
         kind = sys.intern(kind)
         self.kind_names += (kind,)
         self.kind_codes[kind] = code
@@ -113,31 +229,17 @@ class SendLog(Sequence):
 
     def _record(self, i: int) -> SentMessage:
         return SentMessage(
-            self.times[i],
-            self.senders[i],
-            self.dests[i],
-            self.kind_names[self.kinds[i]],
+            self._cell(0, i),
+            self._cell(1, i),
+            self._cell(2, i),
+            self.kind_names[self._cell(3, i)],
             i in self.dropped,
         )
 
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def __getitem__(self, index):  # type: ignore[override]
-        size = len(self.times)
-        if isinstance(index, slice):
-            return [self._record(i) for i in range(*index.indices(size))]
-        i = operator.index(index)
-        if i < 0:
-            i += size
-        if not 0 <= i < size:
-            raise IndexError("send log index out of range")
-        return self._record(i)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (list, SendLog)):
-            return len(other) == len(self) and list(self) == list(other)
-        return NotImplemented
+    def __iter__(self) -> Iterator[SentMessage]:
+        names, dropped = self.kind_names, self.dropped
+        for i, (time, sender, dest, code) in enumerate(self.fields()):
+            yield SentMessage(time, sender, dest, names[code], i in dropped)
 
 
 @dataclass(slots=True)
@@ -149,14 +251,46 @@ class CriticalSectionInterval:
     exited_at: float | None = None
 
 
+class IntervalLog(_RecordSequence):
+    """Critical-section intervals in entry order, read as a sequence of
+    :class:`CriticalSectionInterval`.
+
+    Columns ``node`` (``array('i')``), ``entered_at`` and ``exited_at``
+    (``array('d')``, NaN while the interval is open).
+    """
+
+    __slots__ = ("node", "entered_at", "exited_at")
+    _fields = (("node", "i", None), ("entered_at", "d", None), ("exited_at", "d", None))
+    _names = {name: i for i, (name, *_) in enumerate(_fields)}
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.open_chunk()
+
+    def column(self, name: str) -> Iterator:
+        """Stream one raw column (``"node"``, ``"entered_at"`` or
+        ``"exited_at"``) in entry order, without building records."""
+        return self._column(self._names[name])
+
+    def _record(self, i: int) -> CriticalSectionInterval:
+        return _interval(self._cell(0, i), self._cell(1, i), self._cell(2, i))
+
+    def __iter__(self) -> Iterator[CriticalSectionInterval]:
+        for node, entered_at, exited_at in self.fields():
+            yield _interval(node, entered_at, exited_at)
+
+
+def _interval(node: int, entered_at: float, exited_at: float) -> CriticalSectionInterval:
+    # x == x is false only for NaN; cheaper than math.isnan per record.
+    return CriticalSectionInterval(node, entered_at, exited_at if exited_at == exited_at else None)
+
+
 @dataclass(slots=True)
 class RequestRecord:
     """Lifecycle of one critical-section request.
 
-    ``slots=True`` because scale runs keep one of these per request — at
-    524k requests the per-instance ``__dict__`` alone is worth ~100 MB of
-    the sweep's RSS high-water mark.
-
+    Built on access from a :class:`RequestLog` row; a copy, so writing to it
+    changes nothing in the log.
     """
 
     request_id: int
@@ -178,6 +312,144 @@ class RequestRecord:
         if self.granted_at is None:
             return None
         return self.granted_at - self.issued_at
+
+
+def _request(fields: tuple) -> RequestRecord:
+    request_id, node, issued_at, granted_at, released_at, at_issue, at_grant = fields
+    # x == x is false only for NaN; cheaper than math.isnan per record.
+    return RequestRecord(
+        request_id,
+        node,
+        issued_at,
+        granted_at if granted_at == granted_at else None,
+        released_at if released_at == released_at else None,
+        at_issue,
+        None if at_grant == _NO_COUNT else at_grant,
+    )
+
+
+class RequestLog(_Columns, Mapping):
+    """Requests by id, read as a mapping of id → :class:`RequestRecord`.
+
+    One row per issue, with columns ``node`` (``array('i')``),
+    ``issued_at``, ``granted_at``, ``released_at`` (``array('d')``) and
+    ``messages_at_issue``, ``messages_at_grant`` (``array('q')``), grown in
+    chunks (see :class:`_Columns`).  An issue appends the first three; a
+    grant or a release writes the others in place, in chunks allocated
+    whole and filled with NaN (time) or -1 (count) until then.  Request
+    ids come from one process-wide counter, so within a run they normally
+    arrive consecutively: ids ``base`` to ``stop - 1`` live in rows 0 to
+    ``stop - base - 1`` and no id is stored at all.  The first id that
+    breaks the sequence (a gap, or an id issued again) switches the log to a
+    dict ``index`` of id → row; an id issued again then maps to its new row
+    and keeps its place in iteration order, as a dict key would.
+
+    ``wait_total`` adds each grant's wait as it is recorded, which is the
+    order :meth:`MetricsCollector.mean_waiting_time` adds the waits in: by
+    grant time, ties in id order.  ``in_grant_order`` turns false once the
+    two orders can differ — a grant time that ties or goes back, a request
+    granted twice, an id issued twice — and the mean then sorts instead.
+    """
+
+    __slots__ = (
+        "node", "issued_at", "granted_at", "released_at", "messages_at_issue",
+        "messages_at_grant", "base", "stop", "index", "wait_total", "last_grant",
+        "in_grant_order",
+    )
+    _fields = (
+        ("node", "i", None), ("issued_at", "d", None), ("granted_at", "d", _NO_TIME),
+        ("released_at", "d", _NO_TIME), ("messages_at_issue", "q", None),
+        ("messages_at_grant", "q", _NO_COUNT),
+    )
+    _names = {name: i for i, (name, *_) in enumerate(_fields)}
+
+    def __init__(self) -> None:
+        super().__init__()
+        # NaN bounds: no id is in [base, stop) and none equals stop, so an
+        # empty or indexed log sends every hook to its slow path.
+        self.base: float | int = _NO_TIME
+        self.stop: float | int = _NO_TIME
+        self.index: dict[int, int] | None = None
+        self.wait_total = 0.0
+        self.last_grant = -math.inf
+        self.in_grant_order = True
+
+    # -- recording (the hooks on MetricsCollector call these) ---------------
+    def place(self, request_id: int) -> None:
+        """Slow path of an issue: make room for one more row and map
+        ``request_id`` to it when it does not continue the sequence."""
+        if not self.chunks[0] or len(self.node) == self.chunk:
+            self.open_chunk()
+        if self.index is None:
+            if request_id == self.stop:
+                self.stop += 1
+                return
+            if not self._row_count():
+                self.base, self.stop = request_id, request_id + 1
+                return
+            self.index = dict(zip(range(self.base, self.stop), range(self._row_count())))
+            self.base = self.stop = _NO_TIME
+        if request_id in self.index:
+            self.in_grant_order = False
+        self.index[request_id] = self._row_count()
+
+    def row_of(self, request_id: int) -> int | None:
+        """The row holding ``request_id``, or ``None`` if it was never issued."""
+        if self.base <= request_id < self.stop:
+            return request_id - self.base
+        if self.index is not None:
+            return self.index.get(request_id)
+        return None
+
+    # -- reading ---------------------------------------------------------
+    def column(self, name: str) -> Iterator:
+        """Stream one raw column — ``"request_id"`` or a column name — over
+        the live rows in id order (first issue), without building records."""
+        if name == "request_id":
+            return iter(self)
+        i = self._names[name]
+        if self.index is None:
+            return self._column(i)
+        return (self._cell(i, row) for row in self.index.values())
+
+    def fields(self) -> Iterator[tuple]:
+        """Stream every live row as ``(request_id, node, issued_at,
+        granted_at, released_at, messages_at_issue, messages_at_grant)``."""
+        return zip(self.column("request_id"), *map(self.column, self._names))
+
+    def __len__(self) -> int:
+        return self._row_count() if self.index is None else len(self.index)
+
+    def __iter__(self) -> Iterator[int]:
+        if self.index is None:
+            return iter(range(self.base, self.stop)) if self._row_count() else iter(())
+        return iter(self.index)
+
+    def __contains__(self, request_id: object) -> bool:
+        return isinstance(request_id, int) and self.row_of(request_id) is not None
+
+    def __getitem__(self, request_id: int) -> RequestRecord:
+        row = self.row_of(request_id) if isinstance(request_id, int) else None
+        if row is None:
+            raise KeyError(request_id)
+        return _request((request_id, *(self._cell(i, row) for i in range(len(self.chunks)))))
+
+    def values(self) -> ValuesView:
+        return _RequestValues(self)
+
+    def items(self) -> ItemsView:
+        return _RequestItems(self)
+
+
+class _RequestValues(ValuesView):
+    def __iter__(self) -> Iterator[RequestRecord]:
+        return map(_request, self._mapping.fields())
+
+
+class _RequestItems(ItemsView):
+    def __iter__(self) -> Iterator[tuple[int, RequestRecord]]:
+        for fields in self._mapping.fields():
+            yield fields[0], _request(fields)
 
 
 class MetricsCollector:
@@ -228,14 +500,16 @@ class MetricsCollector:
         self.duplicated_messages: int = 0
         self.blocked_messages: int = 0
         self.network_faults_active: bool = False
-        self.cs_intervals: list[CriticalSectionInterval] = []
-        self.requests: dict[int, RequestRecord] = {}
+        #: Every CS interval and request outside telemetry mode.
+        self.cs_intervals = IntervalLog()
+        self.requests = RequestLog()
         self.requests_issued_count: int = 0
         self.requests_granted_count: int = 0
         self.failures: list[tuple[float, int]] = []
         self.recoveries: list[tuple[float, int]] = []
         self.custom: dict[str, Any] = {}
-        self._open_cs: dict[int, CriticalSectionInterval] = {}
+        #: node -> (chunk, offset) of its open interval's ``exited_at`` entry.
+        self._open_cs: dict[int, tuple[array, int]] = {}
         #: The online-telemetry hub; ``None`` outside telemetry mode.
         self.telemetry: RunTelemetry | None = None
         if not self._keep_records:
@@ -271,7 +545,11 @@ class MetricsCollector:
         self.messages_by_kind[kind] += 1
         self.messages_by_sender[sender] += 1
         log = self.sent_messages
-        log.times.append(time)
+        times = log.times
+        if len(times) == log.chunk:
+            log.open_chunk()
+            times = log.times
+        times.append(time)
         log.senders.append(sender)
         log.dests.append(dest)
         try:
@@ -280,7 +558,7 @@ class MetricsCollector:
             code = log.add_kind(kind)  # may replace log.kinds with a wider array
             log.kinds.append(code)
         if dropped:
-            log.dropped.add(len(log.times) - 1)
+            log.dropped.add(len(log) - 1)
             self.dropped_messages += 1
 
     def _record_send_counters(
@@ -296,12 +574,14 @@ class MetricsCollector:
     def record_request_issued(self, request_id: int, node: int, time: float) -> None:
         """Record the moment a node asks to enter the critical section."""
         self.requests_issued_count += 1
-        self.requests[request_id] = RequestRecord(
-            request_id=request_id,
-            node=node,
-            issued_at=time,
-            messages_at_issue=self._total_sent,
-        )
+        log = self.requests
+        if request_id == log.stop and len(log.node) < log.chunk:
+            log.stop = request_id + 1
+        else:
+            log.place(request_id)
+        log.node.append(node)
+        log.issued_at.append(time)
+        log.messages_at_issue.append(self._total_sent)
 
     def _record_request_issued_telemetry(self, request_id: int, node: int, time: float) -> None:
         """Telemetry-mode :meth:`record_request_issued`: hub only, no record."""
@@ -310,13 +590,28 @@ class MetricsCollector:
 
     def record_request_granted(self, request_id: int, time: float) -> None:
         """Record the moment the corresponding critical section is entered."""
-        record = self.requests.get(request_id)
-        if record is None:
-            return
-        if record.granted_at is None:
+        log = self.requests
+        if log.base <= request_id < log.stop:
+            row = request_id - log.base
+        else:
+            row = log.row_of(request_id)
+            if row is None:
+                return
+        size = log.chunk
+        chunk = row // size
+        at = row % size
+        chunks = log.chunks
+        at_grant = chunks[5][chunk]
+        if at_grant[at] < 0:
             self.requests_granted_count += 1
-        record.granted_at = time
-        record.messages_at_grant = self._total_sent
+        else:
+            log.in_grant_order = False
+        at_grant[at] = self._total_sent
+        chunks[2][chunk][at] = time
+        if time <= log.last_grant:
+            log.in_grant_order = False
+        log.last_grant = time
+        log.wait_total += time - chunks[1][chunk][at]
 
     def _record_request_granted_telemetry(self, request_id: int, time: float) -> None:
         """Telemetry-mode :meth:`record_request_granted`."""
@@ -325,9 +620,14 @@ class MetricsCollector:
 
     def record_request_released(self, request_id: int, time: float) -> None:
         """Record the moment the corresponding critical section is left."""
-        record = self.requests.get(request_id)
-        if record is not None:
-            record.released_at = time
+        log = self.requests
+        if log.base <= request_id < log.stop:
+            row = request_id - log.base
+        else:
+            row = log.row_of(request_id)
+            if row is None:
+                return
+        log.chunks[3][row // log.chunk][row % log.chunk] = time
 
     def _record_request_released_telemetry(self, request_id: int, time: float) -> None:
         """Telemetry-mode :meth:`record_request_released`: nothing to keep —
@@ -335,9 +635,15 @@ class MetricsCollector:
 
     def record_cs_enter(self, node: int, time: float) -> None:
         """Record a critical-section entry (for the safety checker)."""
-        interval = CriticalSectionInterval(node=node, entered_at=time)
-        self.cs_intervals.append(interval)
-        self._open_cs[node] = interval
+        log = self.cs_intervals
+        exited = log.exited_at
+        if len(exited) == log.chunk:
+            log.open_chunk()
+            exited = log.exited_at
+        self._open_cs[node] = (exited, len(exited))
+        log.node.append(node)
+        log.entered_at.append(time)
+        exited.append(_NO_TIME)
 
     def _record_cs_enter_telemetry(self, node: int, time: float) -> None:
         """Telemetry-mode :meth:`record_cs_enter`: online safety check."""
@@ -345,9 +651,10 @@ class MetricsCollector:
 
     def record_cs_exit(self, node: int, time: float) -> None:
         """Record a critical-section exit."""
-        interval = self._open_cs.pop(node, None)
-        if interval is not None:
-            interval.exited_at = time
+        entry = self._open_cs.pop(node, None)
+        if entry is not None:
+            chunk, at = entry
+            chunk[at] = time
 
     def _record_cs_exit_telemetry(self, node: int, time: float) -> None:
         """Telemetry-mode :meth:`record_cs_exit`."""
@@ -378,13 +685,15 @@ class MetricsCollector:
 
     def satisfied_requests(self) -> list[RequestRecord]:
         """Return the requests that were granted, ordered by grant time."""
-        granted = [r for r in self.requests.values() if r.granted_at is not None]
-        granted.sort(key=lambda r: r.granted_at)
+        granted = [
+            _request(fields) for fields in self.requests.fields() if not math.isnan(fields[3])
+        ]
+        granted.sort(key=operator.attrgetter("granted_at"))
         return granted
 
     def unsatisfied_requests(self) -> list[RequestRecord]:
         """Return the requests never granted during the run."""
-        return [r for r in self.requests.values() if r.granted_at is None]
+        return [_request(fields) for fields in self.requests.fields() if math.isnan(fields[3])]
 
     def messages_per_request(self) -> list[int]:
         """Messages attributable to each request, in issue order.
@@ -398,13 +707,23 @@ class MetricsCollector:
         use :meth:`mean_messages_per_request`, which divides the total
         traffic by the number of grants instead.
         """
-        ordered = sorted(self.requests.values(), key=lambda r: r.issued_at)
-        counts: list[int] = []
-        for record, successor in zip(ordered, ordered[1:]):
-            counts.append(successor.messages_at_issue - record.messages_at_issue)
-        if ordered:
-            counts.append(self.total_messages() - ordered[-1].messages_at_issue)
-        return counts
+        log = self.requests
+        if not log:
+            return []
+        issued = log.column("issued_at")
+        if all(map(operator.le, issued, islice(log.column("issued_at"), 1, None))):
+            # Already in issue order, ties in id order: what the stable sort
+            # below would give, read straight off the column.
+            marks = log.column("messages_at_issue")
+            later = islice(log.column("messages_at_issue"), 1, None)
+        else:
+            pairs = sorted(
+                zip(log.column("issued_at"), log.column("messages_at_issue")),
+                key=operator.itemgetter(0),
+            )
+            marks = map(operator.itemgetter(1), pairs)
+            later = map(operator.itemgetter(1), islice(pairs, 1, None))
+        return list(map(operator.sub, chain(later, (self.total_messages(),)), marks))
 
     def mean_messages_per_request(self) -> float:
         """Total messages divided by the number of granted requests."""
@@ -415,23 +734,36 @@ class MetricsCollector:
     def mean_waiting_time(self) -> float:
         """Average time between issuing a request and entering the CS.
 
-        In telemetry mode this comes from the streaming sketch's exact
-        running sum — same additions in the same (grant) order as the
-        record-based computation, so the value is identical.
+        The waits are added one by one, left to right, by grant time (ties
+        in id order) — the additions the telemetry sketch makes, so the
+        modes agree to the bit.  ``sum()`` would not do: since Python 3.12
+        it compensates float rounding.  The record modes read the running
+        sum :meth:`record_request_granted` keeps, and sort the granted
+        requests only when that sum's order may differ (see
+        :class:`RequestLog`); telemetry mode reads the sketch's sum.
         """
         if self.telemetry is not None:
             return self.telemetry.waiting_time.mean
-        waits = [r.waiting_time for r in self.satisfied_requests() if r.waiting_time is not None]
-        if not waits:
-            return 0.0
-        return sum(waits) / len(waits)
+        log = self.requests
+        if log.in_grant_order:
+            count = self.requests_granted_count
+            return log.wait_total / count if count else 0.0
+        granted = sorted(
+            (
+                (granted_at, granted_at - issued_at)
+                for issued_at, granted_at in zip(log.column("issued_at"), log.column("granted_at"))
+                if not math.isnan(granted_at)
+            ),
+            key=operator.itemgetter(0),
+        )
+        total = 0.0
+        for _, wait in granted:
+            total += wait
+        return total / len(granted) if granted else 0.0
 
     def per_node_request_counts(self) -> dict[int, int]:
         """Number of requests issued by each node."""
-        counts: dict[int, int] = defaultdict(int)
-        for record in self.requests.values():
-            counts[record.node] += 1
-        return dict(counts)
+        return dict(Counter(self.requests.column("node")))
 
     def summary(self) -> dict[str, Any]:
         """Return a dictionary summary convenient for table printing.

@@ -10,6 +10,7 @@ granted by the end of the run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isnan
 
 from repro.exceptions import LivenessViolationError
 from repro.simulation.metrics import MetricsCollector, RequestRecord
@@ -55,16 +56,18 @@ def analyse_liveness(metrics: MetricsCollector) -> LivenessReport:
     starved: list[RequestRecord] = []
     excused: list[RequestRecord] = []
     granted = 0
-    for record in metrics.requests.values():
-        if record.granted_at is not None:
+    requests = metrics.requests
+    for request_id, granted_at in zip(requests.column("request_id"), requests.column("granted_at")):
+        if not isnan(granted_at):
             granted += 1
             continue
+        record = requests[request_id]
         if _requester_crashed_while_waiting(metrics, record):
             excused.append(record)
         else:
             starved.append(record)
     return LivenessReport(
-        issued=len(metrics.requests),
+        issued=len(requests),
         granted=granted,
         starved=starved,
         excused=excused,

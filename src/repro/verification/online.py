@@ -19,6 +19,7 @@ instant) do not count as an overlap, matching the strict inequality in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isnan
 
 from repro.simulation.metrics import MetricsCollector
 from repro.telemetry.fairness import FairnessTracker
@@ -88,14 +89,17 @@ def replay_online(
     liveness = OnlineLivenessWatchdog(max_grant_gap=max_grant_gap, fairness=tracker)
 
     events: list[tuple[float, int, int, int]] = []
-    for record in metrics.requests.values():
-        events.append((record.issued_at, _PRIO_ISSUE, record.request_id, record.node))
-        if record.granted_at is not None:
-            events.append((record.granted_at, _PRIO_GRANT, record.request_id, record.node))
-    for interval in metrics.cs_intervals:
-        events.append((interval.entered_at, _PRIO_ENTER, 0, interval.node))
-        if interval.exited_at is not None:
-            events.append((interval.exited_at, _PRIO_EXIT, 0, interval.node))
+    requests = metrics.requests
+    for request_id, node, issued_at, granted_at in zip(
+        *map(requests.column, ("request_id", "node", "issued_at", "granted_at"))
+    ):
+        events.append((issued_at, _PRIO_ISSUE, request_id, node))
+        if not isnan(granted_at):
+            events.append((granted_at, _PRIO_GRANT, request_id, node))
+    for node, entered_at, exited_at in metrics.cs_intervals.fields():
+        events.append((entered_at, _PRIO_ENTER, 0, node))
+        if not isnan(exited_at):
+            events.append((exited_at, _PRIO_EXIT, 0, node))
     for time, node in metrics.failures:
         events.append((time, _PRIO_FAILURE, 0, node))
     # Stable sort on (time, priority) only: same-priority ties keep record

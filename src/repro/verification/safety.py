@@ -9,11 +9,14 @@ Naimi-Trehel, ...) without instrumenting them individually.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import islice, pairwise
+from math import isnan
 from typing import Iterable, Sequence
 
 from repro.exceptions import SafetyViolationError
-from repro.simulation.metrics import CriticalSectionInterval, MetricsCollector
+from repro.simulation.metrics import IntervalLog, MetricsCollector
 
 __all__ = ["Overlap", "find_overlaps", "assert_mutual_exclusion"]
 
@@ -36,20 +39,24 @@ class Overlap:
 
 
 def _closed_intervals(
-    intervals: Iterable[CriticalSectionInterval],
+    intervals: IntervalLog,
     *,
     end_of_time: float,
     exclude_nodes: Sequence[int] = (),
-) -> list[tuple[float, float, int]]:
+) -> Iterable[tuple[float, float, int]]:
+    """``(entered, exited or end_of_time, node)`` per interval, sorted."""
     excluded = set(exclude_nodes)
-    result = []
-    for interval in intervals:
-        if interval.node in excluded:
-            continue
-        exit_time = interval.exited_at if interval.exited_at is not None else end_of_time
-        result.append((interval.entered_at, exit_time, interval.node))
-    result.sort()
-    return result
+    closed = (
+        (entered_at, end_of_time if isnan(exited_at) else exited_at, node)
+        for node, entered_at, exited_at in intervals.fields()
+        if node not in excluded
+    )
+    entries = intervals.column("entered_at")
+    if all(map(operator.lt, entries, islice(intervals.column("entered_at"), 1, None))):
+        # Entry times strictly increase, as the simulator's clock makes
+        # them: entry order is already the sorted order.
+        return closed
+    return sorted(closed)
 
 
 def find_overlaps(
@@ -74,7 +81,7 @@ def find_overlaps(
         metrics.cs_intervals, end_of_time=end_of_time, exclude_nodes=exclude_nodes
     )
     overlaps: list[Overlap] = []
-    for (start_a, end_a, node_a), (start_b, end_b, node_b) in zip(intervals, intervals[1:]):
+    for (start_a, end_a, node_a), (start_b, end_b, node_b) in pairwise(intervals):
         if start_b < end_a:
             overlaps.append(
                 Overlap(
@@ -93,14 +100,15 @@ def crashed_in_critical_section(metrics: MetricsCollector) -> set[int]:
     Their open intervals must be excluded from the overlap check: fail-stop
     means they stopped executing at the crash instant.
     """
-    crashed: set[int] = set()
+    crashes: dict[int, list[float]] = {}
     for crash_time, node in metrics.failures:
-        for interval in metrics.cs_intervals:
-            if (
-                interval.node == node
-                and interval.entered_at <= crash_time
-                and (interval.exited_at is None or interval.exited_at > crash_time)
-            ):
+        crashes.setdefault(node, []).append(crash_time)
+    crashed: set[int] = set()
+    if not crashes:
+        return crashed
+    for node, entered_at, exited_at in metrics.cs_intervals.fields():
+        for crash_time in crashes.get(node, ()):
+            if entered_at <= crash_time and (isnan(exited_at) or exited_at > crash_time):
                 crashed.add(node)
     return crashed
 

@@ -10,6 +10,7 @@ rejects the partition configs the simulator rejects.
 
 from __future__ import annotations
 
+import asyncio
 import random
 from collections import Counter
 from dataclasses import replace
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core.builders import build_opencube_nodes
 from repro.exceptions import ConfigurationError
-from repro.runtime import AsyncioCluster, RuntimeChaos
+from repro.runtime import AsyncioCluster, RuntimeChaos, start_servers
 from repro.runtime.faults import DROP, SEND
 from repro.scenarios.spec import NetworkFaultSpec, PartitionSpec
 from repro.simulation.network import (
@@ -133,3 +134,19 @@ def test_asyncio_cluster_rejects_partitions_the_simulator_rejects(nodes):
     )
     with pytest.raises(ConfigurationError):
         AsyncioCluster(build_opencube_nodes(N), faults=faults)
+
+
+@pytest.mark.parametrize(
+    "nodes",
+    [(99,), tuple(range(1, N + 1))],
+    ids=["node-outside-population", "window-names-every-node"],
+)
+def test_lock_service_rejects_partitions_the_simulator_rejects(nodes):
+    """Rejected at construction, before any server listens."""
+
+    def chaos(node_id):
+        spec = NetworkFaultSpec(partitions=(PartitionSpec(0.0, None, nodes),))
+        return RuntimeChaos(network=spec, seed=node_id)
+
+    with pytest.raises(ConfigurationError):
+        asyncio.run(start_servers(build_opencube_nodes(N), chaos=chaos))
